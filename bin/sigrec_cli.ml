@@ -767,20 +767,21 @@ module Flags = struct
   let max_paths =
     let doc =
       "Symbolic-execution budget: maximum paths explored per function \
-       (default unbounded; the built-in default budget uses 512)."
+       (default 512, from the built-in default budget)."
     in
     Arg.(value & opt (some int) None & info [ "max-paths" ] ~docv:"N" ~doc)
 
   let max_steps =
     let doc =
-      "Symbolic-execution budget: maximum interpreter steps per path."
+      "Symbolic-execution budget: maximum interpreter steps per path \
+       (default 20,000)."
     in
     Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"N" ~doc)
 
   let max_forks =
     let doc =
       "Symbolic-execution budget: maximum JUMPI forks taken at one \
-       program counter (symbolic-loop unrolling bound)."
+       program counter (symbolic-loop unrolling bound; default 3)."
     in
     Arg.(value & opt (some int) None & info [ "max-forks" ] ~docv:"N" ~doc)
 
@@ -794,8 +795,9 @@ module Flags = struct
       & opt (some int) None
       & info [ "cache-capacity" ] ~docv:"N" ~doc)
 
-  (* Any budget flag given -> a budget based on the executor default;
-     none -> unbounded (the library default). *)
+  (* Any budget flag given -> the executor default with that field
+     overridden; none -> [None], which the executor also reads as its
+     default budget (512 paths, 20,000 steps, 3 forks per pc). *)
   let budget =
     let make mp ms mf =
       match (mp, ms, mf) with

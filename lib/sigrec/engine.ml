@@ -19,9 +19,7 @@ module Config = struct
       cache_capacity = 0;
     }
 
-  let with_rules rules t = { t with rules }
   let with_budget budget t = { t with budget = Some budget }
-  let without_budget t = { t with budget = None }
   let with_static_prune static_prune t = { t with static_prune }
   let with_jobs jobs t = { t with jobs = Stdlib.max 0 jobs }
 
@@ -80,11 +78,6 @@ let signatures report =
         Some r
       | Failed _ -> None)
     report.outcomes
-
-let outcome_selector_hex = function
-  | Recovered { result = r; _ } | Budget_exhausted { partial = r; _ } ->
-    r.Recover.selector_hex
-  | Failed e -> e.selector_hex
 
 let outcome_elapsed_ns = function
   | Recovered { elapsed_ns; _ } | Budget_exhausted { elapsed_ns; _ } ->
@@ -233,34 +226,6 @@ let analyze ~cfg ~stats code =
       ];
   report
 
-(* Insert under the engine lock, attributing any LRU evictions the
-   insert caused to the engine's stats. Call with the lock held. *)
-let cache_add_locked t hash report =
-  let ev0 = Lru.evictions t.cache in
-  Lru.add t.cache hash report;
-  let ev = Lru.evictions t.cache - ev0 in
-  if ev > 0 then Stats.add_evictions t.stats ev
-
-let recover t code =
-  let hash = Contract.hash_of_code code in
-  let cached =
-    Mutex.protect t.lock (fun () -> Lru.find_opt t.cache hash)
-  in
-  match cached with
-  | Some report ->
-    Mutex.protect t.lock (fun () -> Stats.cache_hit t.stats);
-    if Tr.enabled () then
-      Tr.instant Tr.Engine "cache_hit"
-        [ ("code_hash", Tr.Str report.code_hash) ];
-    { report with from_cache = true }
-  | None ->
-    let stats = Stats.create () in
-    let report = analyze ~cfg:t.config ~stats code in
-    Mutex.protect t.lock (fun () ->
-        Stats.merge_into ~into:t.stats stats;
-        if not (Lru.mem t.cache hash) then cache_add_locked t hash report);
-    report
-
 (* [Config.jobs] is a cap, not a demand: OCaml's stop-the-world minor
    collector makes domains that merely timeshare a core actively
    harmful (every minor GC must rendezvous a descheduled domain), so
@@ -275,16 +240,23 @@ let effective_jobs t =
   if t.config.Config.jobs > 0 then Stdlib.min t.config.Config.jobs hw
   else hw
 
-let recover_all_n jobs t codes =
+(* The one content-addressed fan-out behind every product: hash each
+   input once, look each distinct hash up once in [lru] (input order),
+   [compute] the misses over the pool, insert them in first-occurrence
+   order and answer [(hash, value, reused)] per input, in input order.
+   [count] attributes in-batch duplicates, reuses and LRU evictions to
+   the engine's cache counters — the report cache's alone, so the
+   other products leave those counters as they were. *)
+let fetch_all t lru ~compute ~count codes =
   let codes = Array.of_list codes in
   let n = Array.length codes in
   let hashes = Array.map Contract.hash_of_code codes in
-  (* Reports this batch needs, keyed by code hash. Kept separate from
-     the engine cache so a bounded LRU can evict mid-batch without the
-     final assembly losing a report. *)
+  (* Values this batch needs, keyed by code hash. Kept separate from
+     the LRU so a bounded cache can evict mid-batch without the final
+     assembly losing a value. *)
   let by_hash = Hashtbl.create ((2 * n) + 1) in
   (* Work list: first occurrence of each code hash not already cached.
-     Duplicates — the common case on main net — are analyzed exactly
+     Duplicates — the common case on main net — are computed exactly
      once and answered from the result. *)
   let fresh = Array.make n false in
   let work = ref [] in
@@ -296,14 +268,14 @@ let recover_all_n jobs t codes =
         if Hashtbl.mem seen h then incr dups
         else begin
           Hashtbl.replace seen h ();
-          match Lru.find_opt t.cache h with
-          | Some report -> Hashtbl.replace by_hash h report
+          match Lru.find_opt lru h with
+          | Some v -> Hashtbl.replace by_hash h v
           | None ->
             fresh.(i) <- true;
             work := (h, codes.(i)) :: !work
         end
       done;
-      if !dups > 0 then begin
+      if count && !dups > 0 then begin
         Stats.add_deduped t.stats !dups;
         if Tr.enabled () then
           Tr.instant Tr.Engine "dedup" [ ("duplicates", Tr.Int !dups) ]
@@ -311,16 +283,12 @@ let recover_all_n jobs t codes =
   let work = Array.of_list (List.rev !work) in
   let work_n = Array.length work in
   let results = Array.make work_n None in
-  let jobs =
-    Stdlib.min
-      (Stdlib.min (Stdlib.max 1 jobs) (Lazy.force hardware_jobs))
-      (Stdlib.max 1 work_n)
-  in
+  let jobs = Stdlib.min (effective_jobs t) (Stdlib.max 1 work_n) in
   (* Workers claim chunks of contiguous indices from a shared counter —
      dynamic balancing like per-item claiming, but with fewer atomic
      operations and less false sharing on the results array. Each
-     worker accumulates into its own Stats.t; no analysis state is
-     shared, so the per-item results are identical whatever the
+     worker accumulates into its own Stats.t; no computation shares
+     state, so the per-item results are identical whatever the
      interleaving. *)
   let chunk = Stdlib.max 1 (Stdlib.min 16 (work_n / (jobs * 8))) in
   let next = Atomic.make 0 in
@@ -332,7 +300,7 @@ let recover_all_n jobs t codes =
         let hi = Stdlib.min (i0 + chunk) work_n in
         for i = i0 to hi - 1 do
           let _, code = work.(i) in
-          results.(i) <- Some (analyze ~cfg:t.config ~stats code)
+          results.(i) <- Some (compute ~stats code)
         done;
         loop ()
       end
@@ -359,47 +327,48 @@ let recover_all_n jobs t codes =
     end
   in
   Mutex.protect t.lock (fun () ->
-      (* stats merging is commutative, and the cache inserts are keyed
-         by distinct hashes, so the merged state does not depend on
-         which domain analyzed what *)
+      (* stats merging is commutative, and the inserts are keyed by
+         distinct hashes, so the merged state does not depend on which
+         domain computed what *)
       List.iter (fun s -> Stats.merge_into ~into:t.stats s) worker_stats;
+      let ev0 = Lru.evictions lru in
       Array.iteri
         (fun i (h, _) ->
-          match results.(i) with
-          | Some report ->
-            Hashtbl.replace by_hash h report;
-            cache_add_locked t h report
-          | None -> ())
-        work);
-  (* Assemble per-input reports in input order: byte-identical output
-     whatever [jobs] was. *)
-  let hits = ref 0 in
-  let reports =
-    Array.to_list
-      (Array.mapi
-         (fun i _ ->
-           let report = Hashtbl.find by_hash hashes.(i) in
-           if fresh.(i) then report
-           else begin
-             incr hits;
-             if Tr.enabled () then
-               Tr.instant Tr.Engine "cache_hit"
-                 [ ("code_hash", Tr.Str report.code_hash) ];
-             { report with from_cache = true }
-           end)
-         codes)
-  in
-  if !hits > 0 then
-    Mutex.protect t.lock (fun () ->
-        for _ = 1 to !hits do
+          let v = Option.get results.(i) in
+          Hashtbl.replace by_hash h v;
+          if not (Lru.mem lru h) then Lru.add lru h v)
+        work;
+      if count then begin
+        let ev = Lru.evictions lru - ev0 in
+        if ev > 0 then Stats.add_evictions t.stats ev;
+        for _ = 1 to n - work_n do
           Stats.cache_hit t.stats
-        done);
+        done
+      end);
+  (* Assemble in input order: byte-identical output whatever [jobs]
+     was. *)
+  Array.to_list
+    (Array.mapi (fun i h -> (h, Hashtbl.find by_hash h, not fresh.(i))) hashes)
+
+let recover_all t codes =
+  let reports =
+    List.map
+      (fun (_, report, reused) ->
+        if not reused then report
+        else begin
+          if Tr.enabled () then
+            Tr.instant Tr.Engine "cache_hit"
+              [ ("code_hash", Tr.Str report.code_hash) ];
+          { report with from_cache = true }
+        end)
+      (fetch_all t t.cache ~compute:(analyze ~cfg:t.config) ~count:true codes)
+  in
   (* per-batch runtime-health sample: one Gc.quick_stat against a batch
      of analyses, so a scraping service sees heap growth between polls *)
   if Mx.enabled () then Mx.sample_gc ();
   reports
 
-let recover_all t codes = recover_all_n (effective_jobs t) t codes
+let recover t code = List.hd (recover_all t [ code ])
 
 (* ---- streaming recovery --------------------------------------------- *)
 
@@ -543,12 +512,6 @@ let cache_stats t =
         row "verdicts" t.verdicts;
       ])
 
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Lru.clear t.cache;
-      Lru.clear t.layouts;
-      Lru.clear t.verdicts)
-
 (* ---- storage-layout recovery ---------------------------------------- *)
 
 type layout_report = {
@@ -564,105 +527,19 @@ let layout_of_code ~stats code =
     ~unknown:layout.Sigrec_layout.Layout.unknown_ops;
   layout
 
-let layout t code =
-  let hash = Contract.hash_of_code code in
-  let cached = Mutex.protect t.lock (fun () -> Lru.find_opt t.layouts hash) in
-  match cached with
-  | Some layout ->
-    {
-      layout_code_hash = Evm.Hex.encode hash;
-      layout;
-      layout_from_cache = true;
-    }
-  | None ->
-    let stats = Stats.create () in
-    let layout = layout_of_code ~stats code in
-    Mutex.protect t.lock (fun () ->
-        Stats.merge_into ~into:t.stats stats;
-        if not (Lru.mem t.layouts hash) then Lru.add t.layouts hash layout);
-    {
-      layout_code_hash = Evm.Hex.encode hash;
-      layout;
-      layout_from_cache = false;
-    }
-
-(* The batch sibling: deduplicate by code hash, answer from the layout
-   LRU, fan the distinct misses out over the pool. The layout pass
-   shares nothing across contracts, so the per-item results are
-   independent of the interleaving and the assembly below is
-   byte-identical whatever [jobs] resolves to. *)
+(* The layout pass shares nothing across contracts, so the shared
+   fan-out's output is byte-identical whatever [jobs] resolves to. *)
 let layout_all t codes =
-  let codes = Array.of_list codes in
-  let n = Array.length codes in
-  let hashes = Array.map Contract.hash_of_code codes in
-  let by_hash = Hashtbl.create ((2 * n) + 1) in
-  let fresh = Array.make n false in
-  let work = ref [] in
-  Mutex.protect t.lock (fun () ->
-      let seen = Hashtbl.create 64 in
-      for i = 0 to n - 1 do
-        let h = hashes.(i) in
-        if not (Hashtbl.mem seen h) then begin
-          Hashtbl.replace seen h ();
-          match Lru.find_opt t.layouts h with
-          | Some layout -> Hashtbl.replace by_hash h layout
-          | None ->
-            fresh.(i) <- true;
-            work := (h, codes.(i)) :: !work
-        end
-      done);
-  let work = Array.of_list (List.rev !work) in
-  let work_n = Array.length work in
-  let results = Array.make work_n None in
-  let jobs = Stdlib.min (effective_jobs t) (Stdlib.max 1 work_n) in
-  let next = Atomic.make 0 in
-  let worker () =
-    let stats = Stats.create () in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < work_n then begin
-        let _, code = work.(i) in
-        results.(i) <- Some (layout_of_code ~stats code);
-        loop ()
-      end
-    in
-    loop ();
-    stats
-  in
-  let worker_stats =
-    if jobs <= 1 then [ worker () ]
-    else begin
-      Pool.ensure (jobs - 1);
-      let helpers = Stdlib.min (jobs - 1) (Pool.workers ()) in
-      let collected = Array.make (Stdlib.max 1 helpers) None in
-      let batch =
-        Pool.submit
-          (List.init helpers (fun k () -> collected.(k) <- Some (worker ())))
-      in
-      let mine = worker () in
-      Pool.await batch;
-      mine :: List.filter_map Fun.id (Array.to_list collected)
-    end
-  in
-  Mutex.protect t.lock (fun () ->
-      List.iter (fun s -> Stats.merge_into ~into:t.stats s) worker_stats;
-      Array.iteri
-        (fun i (h, _) ->
-          match results.(i) with
-          | Some layout ->
-            Hashtbl.replace by_hash h layout;
-            if not (Lru.mem t.layouts h) then Lru.add t.layouts h layout
-          | None -> ())
-        work);
-  Array.to_list
-    (Array.mapi
-       (fun i _ ->
-         {
-           layout_code_hash = Evm.Hex.encode hashes.(i);
-           layout = Hashtbl.find by_hash hashes.(i);
-           layout_from_cache = not fresh.(i);
-         })
-       codes)
+  List.map
+    (fun (h, layout, reused) ->
+      {
+        layout_code_hash = Evm.Hex.encode h;
+        layout;
+        layout_from_cache = reused;
+      })
+    (fetch_all t t.layouts ~compute:layout_of_code ~count:false codes)
+
+let layout t code = List.hd (layout_all t [ code ])
 
 (* ---- token-standard interface classification ------------------------- *)
 
@@ -723,50 +600,39 @@ let classify_of_report t ~code report =
 (* The verdict LRU is keyed by the report's hex code hash: recovery
    already paid the Keccak, so classification never rehashes the
    bytecode. *)
-let classify_fresh t code report =
-  let verdict = classify_of_report t ~code report in
-  Mutex.protect t.lock (fun () ->
-      Stats.add_classification t.stats ~outcome:(verdict_outcome verdict)
-        ~probes:verdict.Classify.probes_run;
-      if not (Lru.mem t.verdicts report.code_hash) then
-        Lru.add t.verdicts report.code_hash verdict);
-  verdict
-
-let classify_cached t hash_hex =
-  match Mutex.protect t.lock (fun () -> Lru.find_opt t.verdicts hash_hex) with
-  | Some verdict ->
+let classify_one t code report =
+  let hash = report.code_hash in
+  let cached =
     Mutex.protect t.lock (fun () ->
-        Stats.add_classify_cache_hits t.stats 1);
-    if Tr.enabled () then
-      Tr.instant Tr.Engine "classify_cache_hit"
-        [ ("code_hash", Tr.Str hash_hex) ];
-    Some verdict
-  | None -> None
+        let v = Lru.find_opt t.verdicts hash in
+        if Option.is_some v then Stats.add_classify_cache_hits t.stats 1;
+        v)
+  in
+  let verdict, from_cache =
+    match cached with
+    | Some verdict ->
+      if Tr.enabled () then
+        Tr.instant Tr.Engine "classify_cache_hit"
+          [ ("code_hash", Tr.Str hash) ];
+      (verdict, true)
+    | None ->
+      let verdict = classify_of_report t ~code report in
+      Mutex.protect t.lock (fun () ->
+          Stats.add_classification t.stats ~outcome:(verdict_outcome verdict)
+            ~probes:verdict.Classify.probes_run;
+          if not (Lru.mem t.verdicts hash) then
+            Lru.add t.verdicts hash verdict);
+      (verdict, false)
+  in
+  { classify_code_hash = hash; verdict; classify_from_cache = from_cache }
 
-let classify_of_cached_or_fresh t code report =
-  match classify_cached t report.code_hash with
-  | Some verdict ->
-    {
-      classify_code_hash = report.code_hash;
-      verdict;
-      classify_from_cache = true;
-    }
-  | None ->
-    let verdict = classify_fresh t code report in
-    {
-      classify_code_hash = report.code_hash;
-      verdict;
-      classify_from_cache = false;
-    }
-
-let classify t code = classify_of_cached_or_fresh t code (recover t code)
-
-(* The batch sibling rides on [recover_all] -- pooled fan-out, in-batch
-   dedup and the report LRU all apply to the expensive part -- and then
-   scores the verdicts in input order. Matching is selector-set
-   arithmetic, orders of magnitude below an analysis, so scoring
-   serially keeps the output deterministic at no measurable cost;
-   duplicate bytecodes hit the verdict LRU after the first is scored. *)
+(* Rides on [recover_all] -- pooled fan-out, in-batch dedup and the
+   report LRU all apply to the expensive part -- and then scores the
+   verdicts in input order. Matching is selector-set arithmetic, orders
+   of magnitude below an analysis, so scoring serially keeps the output
+   deterministic at no measurable cost; duplicate bytecodes hit the
+   verdict LRU after the first is scored. *)
 let classify_all t codes =
-  let reports = recover_all t codes in
-  List.map2 (classify_of_cached_or_fresh t) codes reports
+  List.map2 (classify_one t) codes (recover_all t codes)
+
+let classify t code = List.hd (classify_all t [ code ])

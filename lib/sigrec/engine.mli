@@ -1,29 +1,26 @@
-(** Batch recovery engine.
+(** Batch recovery engine: three products from runtime bytecode —
+    function signatures ({!recover_all}), storage layouts
+    ({!layout_all}) and token-standard verdicts ({!classify_all}).
 
-    Layers three production concerns over the TASE core:
+    Signatures and layouts go through one content-addressed fan-out:
+    each input is hashed once (Keccak-256), each distinct hash is
+    looked up once in the product's own LRU (optionally bounded by
+    {!Config.cache_capacity}), the misses are computed once each on a
+    persistent domain pool ({!Pool}), and the answers come back in
+    input order — byte-identical whatever {!Config.jobs} is. The
+    single-bytecode calls ({!recover}, {!layout}, {!classify}) are the
+    batch calls on a one-element list. Classification rides on
+    {!recover_all} and scores the verdicts serially, in input order,
+    behind a third LRU.
 
-    - a content-addressed cache keyed by the Keccak-256 code hash —
-      optionally bounded ({!Config.cache_capacity}), LRU-evicted — so
-      the byte-identical duplicates that dominate deployed contracts
-      are analyzed exactly once (hit/miss/eviction counters in
-      {!stats});
-    - a multicore fan-out over a persistent domain pool ({!Pool}) with
-      a deterministic merge: {!recover_all} output is byte-identical
-      whatever {!Config.jobs} is;
-    - a structured per-function {!outcome} replacing silently-empty
-      result lists, so callers can tell "no public functions" from
-      "symbolic execution gave up" from "the analysis crashed".
+    Each dispatcher entry resolves to a structured {!outcome} rather
+    than a silently-empty result list, so callers can tell "no public
+    functions" from "symbolic execution gave up" from "the analysis
+    crashed".
 
     An engine is safe to share between domains; all cache and stats
-    mutation happens under an internal lock.
-
-    Engines are configured with one explicit {!Config.t} record
-    ({!make}) rather than a sprawl of optional arguments.
-
-    Besides signatures, an engine also serves the second recovery
-    product: {!layout} / {!layout_all} run the static storage-layout
-    pass ({!Sigrec_layout.Layout}) behind the same content-addressed
-    caching and pool fan-out. *)
+    mutation happens under an internal lock. It is configured with one
+    explicit {!Config.t} record ({!make}). *)
 
 (** Everything an engine's behavior depends on, in one explicit record.
 
@@ -38,13 +35,15 @@ module Config : sig
   type t = {
     rules : Rules.config;  (** recovery-rule switches (masks, guards…) *)
     budget : Symex.Exec.budget option;
-        (** symbolic-execution budget; [None] = unbounded *)
+        (** symbolic-execution budget; [None] means
+            [Symex.Exec.default_budget] (512 paths, 20,000 steps, 3
+            forks per pc), never an unbounded run *)
     static_prune : bool;
         (** abstract-interpretation pre-screen that skips forking at
             branches proven calldata-independent; see
             [Stats.forks_pruned] *)
     jobs : int;
-        (** upper bound on worker domains for {!recover_all}; [0] (the
+        (** upper bound on worker domains for the batch calls; [0] (the
             default) means [Domain.recommended_domain_count ()]. This
             is a cap, not a demand: the engine never runs more domains
             than the hardware can schedule simultaneously, because
@@ -62,9 +61,7 @@ module Config : sig
         static_prune = true; jobs = 0; cache_capacity = 0 }] —
       identical behavior to the old [create ()]. *)
 
-  val with_rules : Rules.config -> t -> t
   val with_budget : Symex.Exec.budget -> t -> t
-  val without_budget : t -> t
   val with_static_prune : bool -> t -> t
 
   val with_jobs : int -> t -> t
@@ -116,8 +113,9 @@ val config : t -> Config.t
 (** The configuration the engine was made with. *)
 
 val recover : t -> string -> report
-(** [recover t bytecode] answers from the cache or analyzes and fills
-    it. *)
+(** [recover t bytecode] is [recover_all t [bytecode]]: it answers from
+    the cache or analyzes and fills it, leaving the counters a batch of
+    one would. *)
 
 val recover_all : t -> string list -> report list
 (** [recover_all t codes] returns one report per input, in input order.
@@ -204,7 +202,6 @@ val stats : t -> Stats.t
     actually run). *)
 
 val cache_size : t -> int
-val clear : t -> unit
 
 val effective_jobs : t -> int
 (** The worker-domain count {!recover_all} actually uses: [Config.jobs]
@@ -217,8 +214,6 @@ val cache_stats : t -> (string * int * int * int) list
     — [("reports", …); ("layouts", …); ("verdicts", …)] — read under
     the engine lock. Capacity 0 means unbounded. Feeds the cache gauges
     on the metrics surface. *)
-
-val outcome_selector_hex : outcome -> string
 
 val outcome_elapsed_ns : outcome -> int option
 (** Per-function wall-clock analysis time; [None] for [Failed]. *)
@@ -237,12 +232,13 @@ type layout_report = {
 }
 
 val layout : t -> string -> layout_report
-(** [layout t bytecode] recovers the contract's storage layout,
-    answering from the engine's layout cache when the same bytecode
-    was already analyzed. Layout reports live in their own LRU (same
-    {!Config.cache_capacity} bound as signature reports): the two
+(** [layout t bytecode] is [layout_all t [bytecode]]: the contract's
+    storage layout, answered from the engine's layout cache when the
+    same bytecode was already analyzed. Layouts live in their own LRU
+    (same {!Config.cache_capacity} bound as signature reports): the two
     products cache independently, so interleaving them never evicts
-    the other's entries early. *)
+    the other's entries early. Layout reuse is not counted in the
+    [Stats] cache counters, which describe the report cache. *)
 
 val layout_all : t -> string list -> layout_report list
 (** One layout report per input, in input order; distinct uncached
@@ -259,7 +255,7 @@ type classify_report = {
 }
 
 val classify : t -> string -> classify_report
-(** [classify t bytecode] recovers the contract's signatures (through
+(** [classify t bytecode] is [classify_all t [bytecode]]: it recovers the contract's signatures (through
     the report cache) and scores them against the ERC interface specs
     ({!Sigrec_classify.Classify.run}), with behavioural corroboration
     on the contract's own bytecode and the engine's layout pass as

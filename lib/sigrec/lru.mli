@@ -31,9 +31,3 @@ val peek_opt : ('k, 'v) t -> 'k -> 'v option
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite as most-recently-used, then evict
     least-recently-used entries until within capacity. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry (the eviction counter is kept). *)
-
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Fold over entries in unspecified order. *)

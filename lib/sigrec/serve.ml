@@ -102,75 +102,42 @@ let warning_json (index, reason) =
   Json.obj
     [ ("index", string_of_int index); ("reason", Json.quote reason) ]
 
-let recover_response t id codes_json =
-  match Json.to_list_opt codes_json with
-  | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let reports = Engine.recover_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ("reports", Json.arr (List.map Render.report reports));
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
+(* The batch products, by op: the reply field that carries the rendered
+   answers and the engine call that produces them. Every product shares
+   one request shape ("codes", an array of hex strings) and one reply
+   shape, so one handler serves them all. *)
+let products =
+  [
+    ( "recover",
+      ( "reports",
+        fun e codes -> List.map Render.report (Engine.recover_all e codes) ) );
+    ( "layout",
+      ( "layouts",
+        fun e codes ->
+          List.map Render.layout_report (Engine.layout_all e codes) ) );
+    ( "classify",
+      ( "classifications",
+        fun e codes ->
+          List.map Render.classify_report (Engine.classify_all e codes) ) );
+  ]
 
-let layout_response t id codes_json =
-  match Json.to_list_opt codes_json with
+let product_response t id (field, run) codes_json =
+  let rec as_strings acc = function
+    | [] -> Some (List.rev acc)
+    | Json.Str s :: rest -> as_strings (s :: acc) rest
+    | _ -> None
+  in
+  match Option.bind (Json.to_list_opt codes_json) (as_strings []) with
   | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let layouts = Engine.layout_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ("layouts", Json.arr (List.map Render.layout_report layouts));
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
-
-let classify_response t id codes_json =
-  match Json.to_list_opt codes_json with
-  | None -> error_response id "\"codes\" must be an array of hex strings"
-  | Some items ->
-    let rec as_strings acc = function
-      | [] -> Some (List.rev acc)
-      | Json.Str s :: rest -> as_strings (s :: acc) rest
-      | _ -> None
-    in
-    (match as_strings [] items with
-    | None -> error_response id "\"codes\" must be an array of hex strings"
-    | Some entries ->
-      let batch = Input.parse_codes entries in
-      let verdicts = Engine.classify_all t.engine batch.Input.codes in
-      Json.obj
-        [
-          ("id", id);
-          ("ok", "true");
-          ( "classifications",
-            Json.arr (List.map Render.classify_report verdicts) );
-          ( "warnings",
-            Json.arr (List.map warning_json batch.Input.skipped) );
-        ])
+  | Some entries ->
+    let batch = Input.parse_codes entries in
+    Json.obj
+      [
+        ("id", id);
+        ("ok", "true");
+        (field, Json.arr (run t.engine batch.Input.codes));
+        ("warnings", Json.arr (List.map warning_json batch.Input.skipped));
+      ]
 
 let metrics_response t id =
   let stats = Engine.stats t.engine in
@@ -245,9 +212,8 @@ let handle_line t line =
         | Some opname ->
           t.last_op <-
             (match opname with
-            | "ping" | "shutdown" | "metrics" | "recover" | "layout"
-            | "classify" | "stream" ->
-              opname
+            | "ping" | "shutdown" | "metrics" | "stream" -> opname
+            | _ when List.mem_assoc opname products -> opname
             | _ -> "other");
           (match opname with
           | "ping" ->
@@ -271,21 +237,6 @@ let handle_line t line =
                   (error_response id
                      "unknown \"format\" (expected \"openmetrics\")")
               | None -> reply (metrics_response t id)))
-          | "recover" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (recover_response t id codes)
-          | "layout" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (layout_response t id codes)
-          | "classify" ->
-            let codes =
-              Option.value ~default:Json.Null (Json.member "codes" req)
-            in
-            reply (classify_response t id codes)
           | "stream" ->
             {
               response =
@@ -295,7 +246,14 @@ let handle_line t line =
               stream = Some id;
             }
           | op ->
-            reply (error_response id (Printf.sprintf "unknown op %S" op))))
+            (match List.assoc_opt op products with
+            | Some product ->
+              let codes =
+                Option.value ~default:Json.Null (Json.member "codes" req)
+              in
+              reply (product_response t id product codes)
+            | None ->
+              reply (error_response id (Printf.sprintf "unknown op %S" op)))))
     in
     result
 

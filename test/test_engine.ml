@@ -408,6 +408,103 @@ let test_layout_cache_independent_of_reports () =
   Alcotest.(check bool) "fresh first layout" false
     l1.Sigrec.Engine.layout_from_cache
 
+(* -- the shared fan-out under a bounded LRU ------------------------------ *)
+
+(* Stats.to_json without the interner hit/miss split: that describes the
+   domain-local interner's warm state (a second run in the same domain
+   hits more), not the fan-out. *)
+let fanout_counters engine =
+  match
+    Sigrec.Json.parse (Sigrec.Stats.to_json (Sigrec.Engine.stats engine))
+  with
+  | Ok (Sigrec.Json.Obj fields) ->
+    Sigrec.Json.to_string
+      (Sigrec.Json.Obj
+         (List.filter
+            (fun (k, _) -> k <> "intern_hits" && k <> "intern_misses")
+            fields))
+  | _ -> Alcotest.fail "stats JSON is not an object"
+
+let cache_rows engine =
+  String.concat "; "
+    (List.map
+       (fun (name, len, cap, ev) ->
+         Printf.sprintf "%s %d/%d evicted %d" name len cap ev)
+       (Sigrec.Engine.cache_stats engine))
+
+let evictions engine =
+  List.fold_left
+    (fun acc (_, _, _, ev) -> acc + ev)
+    0
+    (Sigrec.Engine.cache_stats engine)
+
+(* Five distinct bytecodes through a 3-entry LRU, in five batches with
+   in-batch and cross-batch repeats. Which entry a batch evicts depends
+   on the order its hits are promoted (input order) and its misses are
+   inserted (first occurrence), so the expected reuse flags pin both. *)
+let check_bounded_fanout name ~batch ~single ~from_cache codes =
+  Alcotest.(check int) (name ^ ": five distinct inputs") 5
+    (List.length (List.sort_uniq String.compare codes));
+  let c = Array.of_list codes in
+  let batches =
+    [
+      [ c.(0); c.(1); c.(2); c.(0) ];
+      [ c.(3); c.(3) ];
+      [ c.(0); c.(1); c.(4) ];
+      [ c.(2); c.(3); c.(1); c.(1) ];
+      [ c.(1); c.(4) ];
+    ]
+  in
+  let bounded jobs =
+    Sigrec.Engine.make
+      Sigrec.Engine.Config.(
+        default |> with_jobs jobs |> with_cache_capacity 3)
+  in
+  let run jobs =
+    let e = bounded jobs in
+    let flags =
+      List.concat_map (fun b -> List.map from_cache (batch e b)) batches
+    in
+    (e, flags)
+  in
+  let e1, flags1 = run 1 and e4, flags4 = run 4 in
+  Alcotest.(check (list bool)) (name ^ ": reuse follows the LRU")
+    [ false; false; false; true; false; true; false; true; false; false;
+      false; true; true; true; false ]
+    flags1;
+  Alcotest.(check (list bool)) (name ^ ": from_cache, jobs=1 = jobs=4")
+    flags1 flags4;
+  Alcotest.(check int) (name ^ ": six evictions") 6 (evictions e1);
+  Alcotest.(check string) (name ^ ": cache_stats, jobs=1 = jobs=4")
+    (cache_rows e1) (cache_rows e4);
+  Alcotest.(check string) (name ^ ": stats, jobs=1 = jobs=4")
+    (fanout_counters e1) (fanout_counters e4);
+  (* the single-bytecode call leaves the counters of a batch of one *)
+  let inputs = List.concat batches in
+  let singles = bounded 1 and ones = bounded 1 in
+  let single_flags =
+    List.map (fun code -> from_cache (single singles code)) inputs
+  in
+  let one_flags =
+    List.map (fun code -> from_cache (List.hd (batch ones [ code ]))) inputs
+  in
+  Alcotest.(check (list bool)) (name ^ ": single = batch of one, from_cache")
+    one_flags single_flags;
+  Alcotest.(check string) (name ^ ": single = batch of one, cache_stats")
+    (cache_rows ones) (cache_rows singles);
+  Alcotest.(check string) (name ^ ": single = batch of one, stats")
+    (fanout_counters ones) (fanout_counters singles)
+
+let test_bounded_lru_parity () =
+  check_bounded_fanout "reports" ~batch:Sigrec.Engine.recover_all
+    ~single:Sigrec.Engine.recover
+    ~from_cache:(fun r -> r.Sigrec.Engine.from_cache)
+    (corpus_codes ~seed:13 5);
+  check_bounded_fanout "layouts" ~batch:Sigrec.Engine.layout_all
+    ~single:Sigrec.Engine.layout
+    ~from_cache:(fun r -> r.Sigrec.Engine.layout_from_cache)
+    (layout_codes ~seed:23 5)
+
 let suite =
   [
     Alcotest.test_case "parallel = sequential" `Slow
@@ -440,4 +537,6 @@ let suite =
       test_layout_cache_and_dedup;
     Alcotest.test_case "layout: caches are per-product" `Quick
       test_layout_cache_independent_of_reports;
+    Alcotest.test_case "bounded LRU: jobs parity, single = batch of one"
+      `Quick test_bounded_lru_parity;
   ]

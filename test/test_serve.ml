@@ -276,21 +276,26 @@ let test_classify_op () =
   Alcotest.(check (option int)) "repeat served from the verdict cache"
     (Some 1)
     (counter "classify_cache_hits");
-  (* malformed classify requests are rejected without killing the daemon *)
+  (* malformed product requests are rejected without killing the
+     daemon; every product shares the one handler, so check all three *)
   List.iter
-    (fun line ->
-      match Sigrec.Json.parse (handle t line) with
-      | Ok response ->
-        Alcotest.(check bool)
-          (Printf.sprintf "ok:false for %S" line)
-          true
-          (Sigrec.Json.member "ok" response = Some (Sigrec.Json.Bool false))
-      | Error e -> Alcotest.failf "unparseable error response: %s" e)
-    [
-      {|{"id":5,"op":"classify"}|};
-      {|{"id":5,"op":"classify","codes":"0x60"}|};
-      {|{"id":5,"op":"classify","codes":[42]}|};
-    ];
+    (fun op ->
+      List.iter
+        (fun line ->
+          match Sigrec.Json.parse (handle t line) with
+          | Ok response ->
+            Alcotest.(check bool)
+              (Printf.sprintf "ok:false for %S" line)
+              true
+              (Sigrec.Json.member "ok" response
+              = Some (Sigrec.Json.Bool false))
+          | Error e -> Alcotest.failf "unparseable error response: %s" e)
+        [
+          Printf.sprintf {|{"id":5,"op":%S}|} op;
+          Printf.sprintf {|{"id":5,"op":%S,"codes":"0x60"}|} op;
+          Printf.sprintf {|{"id":5,"op":%S,"codes":[42]}|} op;
+        ])
+    [ "recover"; "layout"; "classify" ];
   Alcotest.(check string) "daemon still alive"
     {|{"id":6,"ok":true,"pong":true}|}
     (handle t {|{"id":6,"op":"ping"}|})
