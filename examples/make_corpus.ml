@@ -51,15 +51,40 @@ let token_corpus n seed =
       print_char '\n')
     (Solc.Corpus.token_set ~seed ~n)
 
+(* With --wide N the tool emits one flat dispatcher of N selectors, each
+   body reading one to three basic parameters — the shape that stresses
+   the per-entry static pass. Recovering it must return N functions:
+
+     dune exec examples/make_corpus.exe -- --wide 400 > wide.txt
+     dune exec bin/sigrec_cli.exe -- recover wide.txt *)
+
+let wide_dispatcher n seed =
+  let rng = Random.State.make [| seed |] in
+  let sigs =
+    List.init n (fun i ->
+        Abi.Funsig.make
+          (Printf.sprintf "w%d_%d" i (Random.State.int rng 1_000_000))
+          (List.init (1 + (i mod 3)) (fun _ -> Abi.Valgen.sol_basic rng)))
+  in
+  match Solc.Compile.compile (Solc.Compile.contract_of_sigs sigs) with
+  | code -> print_endline ("0x" ^ Evm.Hex.encode code)
+  | exception Invalid_argument msg ->
+    (* about 1,000 selectors fill the assembler's 64 KiB address space *)
+    Printf.eprintf "make_corpus: %d selectors do not assemble: %s\n" n msg;
+    exit 2
+
 let usage () =
   prerr_endline
     "usage: make_corpus [--stream N [--dup RATE] [--seed S]]\n\
-    \       make_corpus --tokens N [--seed S]";
+    \       make_corpus --tokens N [--seed S]\n\
+    \       make_corpus --wide N [--seed S]";
   exit 2
+
+type mode = Stream | Tokens | Wide
 
 let parse_stream_args args =
   let n = ref 0 and dup = ref 0.9 and seed = ref 20230704 in
-  let tokens = ref false in
+  let mode = ref Stream in
   let rec go = function
     | [] -> ()
     | "--stream" :: v :: rest -> (
@@ -72,7 +97,14 @@ let parse_stream_args args =
       match int_of_string_opt v with
       | Some x when x > 0 ->
         n := x;
-        tokens := true;
+        mode := Tokens;
+        go rest
+      | _ -> usage ())
+    | "--wide" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some x when x > 0 ->
+        n := x;
+        mode := Wide;
         go rest
       | _ -> usage ())
     | "--dup" :: v :: rest -> (
@@ -91,7 +123,7 @@ let parse_stream_args args =
   in
   go args;
   if !n = 0 then usage ();
-  (!n, !dup, !seed, !tokens)
+  (!n, !dup, !seed, !mode)
 
 let committed_corpus () =
   let open Abi.Abity in
@@ -157,6 +189,9 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: [] -> committed_corpus ()
   | _ :: args ->
-    let n, dup_rate, seed, tokens = parse_stream_args args in
-    if tokens then token_corpus n seed else stream_corpus n dup_rate seed
+    let n, dup_rate, seed, mode = parse_stream_args args in
+    (match mode with
+    | Stream -> stream_corpus n dup_rate seed
+    | Tokens -> token_corpus n seed
+    | Wide -> wide_dispatcher n seed)
   | [] -> committed_corpus ()

@@ -144,7 +144,7 @@ let of_cfg cfg =
   let r0 = Absint.analyze ~depth:0 ~entry:0 cfg in
   let r =
     if Absint.resolved_count r0 > 0 then
-      Absint.analyze ~depth:0 ~entry:0 (Absint.resolved_cfg r0)
+      Absint.analyze ~base:r0 ~depth:0 ~entry:0 (Absint.resolved_cfg r0)
     else r0
   in
   of_result r

@@ -51,7 +51,9 @@ let absint_for t ~entry =
   match Hashtbl.find_opt t.absint_cache entry with
   | Some r -> r
   | None ->
-    let r = Sigrec_static.Absint.analyze ~depth:1 ~entry t.cfg in
+    let r =
+      Sigrec_static.Absint.analyze ~base:t.static ~depth:1 ~entry t.cfg
+    in
     Hashtbl.replace t.absint_cache entry r;
     r
 

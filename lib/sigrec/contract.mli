@@ -56,4 +56,7 @@ val jumps_resolved : t -> int
 val absint_for : t -> entry:int -> Sigrec_static.Absint.result
 (** The depth-1 abstract-interpretation run from a function entry,
     memoized per contract — {!Infer.infer}'s prune oracle asks for the
-    same entry on every (re-)inference. *)
+    same entry on every (re-)inference, and {!Lint} asks again for its
+    summary. The run takes [static] as its base, so it shares the
+    whole-contract calldata-relevance set unless it resolves a jump of
+    its own. *)

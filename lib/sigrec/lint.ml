@@ -183,11 +183,10 @@ let check_contract ?stats ?config ?static_prune ?budget contract =
     List.map
       (fun (r : Recover.recovered) ->
         let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
-        let absint =
-          Absint.analyze ~depth:1 ~entry:r.Recover.entry_pc
-            contract.Contract.cfg
+        let summary =
+          (Contract.absint_for contract ~entry:r.Recover.entry_pc)
+            .Absint.summary
         in
-        let summary = absint.Absint.summary in
         let findings = check_function ~global ~summary r in
         if Tr.enabled () then
           Tr.complete Tr.Lint "verdict" ~t0_us

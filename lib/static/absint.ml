@@ -35,6 +35,7 @@ type result = {
   entry : int;
   entry_states : (int, astate) Hashtbl.t;
   resolved : (int, int list) Hashtbl.t;
+  relevant : (int, unit) Hashtbl.t;
   summary : Summary.t;
   storage : storage_ev list;
   prune : (int, decision) Hashtbl.t;
@@ -557,9 +558,58 @@ let fall_edge (b : Cfg.block) =
       | _ -> None)
     b.Cfg.succ
 
+(* -- which blocks can still touch the call data? ------------------------ *)
+
+(* A block is relevant when it reads the call data, ends in a jump
+   nobody resolved, or can reach such a block. [resolved] holds the
+   targets a run found for [Unresolved] edges of [cfg]. *)
+let relevant_blocks cfg resolved =
+  let uses_calldata (b : Cfg.block) =
+    List.exists
+      (fun i ->
+        match i.Disasm.op with
+        | Opcode.CALLDATALOAD | Opcode.CALLDATACOPY | Opcode.CALLDATASIZE ->
+          true
+        | _ -> false)
+      b.Cfg.instrs
+  in
+  let succ_starts (b : Cfg.block) =
+    List.concat_map
+      (function
+        | Cfg.Fallthrough o | Cfg.Jump_to o -> [ o ]
+        | Cfg.Branch { taken; fallthrough } -> [ taken; fallthrough ]
+        | Cfg.Exit -> []
+        | Cfg.Unresolved ->
+          Option.value ~default:[] (Hashtbl.find_opt resolved b.Cfg.start))
+      b.Cfg.succ
+  in
+  let still_unresolved (b : Cfg.block) =
+    List.mem Cfg.Unresolved b.Cfg.succ
+    && Hashtbl.find_opt resolved b.Cfg.start = None
+  in
+  let relevant = Hashtbl.create 64 in
+  Cfg.iter_blocks
+    (fun b ->
+      if uses_calldata b || still_unresolved b then
+        Hashtbl.replace relevant b.Cfg.start ())
+    cfg;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Cfg.iter_blocks
+      (fun b ->
+        if not (Hashtbl.mem relevant b.Cfg.start) then
+          if List.exists (Hashtbl.mem relevant) (succ_starts b) then begin
+            Hashtbl.replace relevant b.Cfg.start ();
+            changed := true
+          end)
+      cfg
+  done;
+  relevant
+
 (* -- the fixpoint ----------------------------------------------------- *)
 
-let analyze ?(depth = 0) ~entry cfg =
+let analyze ?base ?(depth = 0) ~entry cfg =
   let t0 = if Tr.enabled () then Tr.now_us () else 0. in
   let iterations = ref 0 in
   let entry_states : (int, astate) Hashtbl.t = Hashtbl.create 64 in
@@ -642,48 +692,18 @@ let analyze ?(depth = 0) ~entry cfg =
   done;
   let converged = not !diverged in
 
-  (* -- which blocks can still touch the call data? -------------------- *)
-  let uses_calldata (b : Cfg.block) =
-    List.exists
-      (fun i ->
-        match i.Disasm.op with
-        | Opcode.CALLDATALOAD | Opcode.CALLDATACOPY | Opcode.CALLDATASIZE ->
-          true
-        | _ -> false)
-      b.Cfg.instrs
+  (* The relevance set depends only on the graph and on the jumps this
+     run resolved. A run that resolved nothing over [resolved_cfg base]
+     sees exactly the edges [base] saw, so it takes [base]'s set; over
+     [base.cfg] itself that holds only if [base] resolved nothing. *)
+  let relevant, shared =
+    match base with
+    | Some b
+      when Hashtbl.length resolved = 0
+           && not (cfg == b.cfg && Hashtbl.length b.resolved > 0) ->
+      (b.relevant, true)
+    | _ -> (relevant_blocks cfg resolved, false)
   in
-  let succ_starts (b : Cfg.block) =
-    List.concat_map
-      (function
-        | Cfg.Fallthrough o | Cfg.Jump_to o -> [ o ]
-        | Cfg.Branch { taken; fallthrough } -> [ taken; fallthrough ]
-        | Cfg.Exit -> []
-        | Cfg.Unresolved ->
-          Option.value ~default:[] (Hashtbl.find_opt resolved b.Cfg.start))
-      b.Cfg.succ
-  in
-  let still_unresolved (b : Cfg.block) =
-    List.mem Cfg.Unresolved b.Cfg.succ
-    && Hashtbl.find_opt resolved b.Cfg.start = None
-  in
-  let relevant = Hashtbl.create 64 in
-  Cfg.iter_blocks
-    (fun b ->
-      if uses_calldata b || still_unresolved b then
-        Hashtbl.replace relevant b.Cfg.start ())
-    cfg;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Cfg.iter_blocks
-      (fun b ->
-        if not (Hashtbl.mem relevant b.Cfg.start) then
-          if List.exists (Hashtbl.mem relevant) (succ_starts b) then begin
-            Hashtbl.replace relevant b.Cfg.start ();
-            changed := true
-          end)
-      cfg
-  done;
 
   (* -- recording pass over the reached blocks ------------------------- *)
   let acc = fresh_acc () in
@@ -776,8 +796,19 @@ let analyze ?(depth = 0) ~entry cfg =
         ("resolved_jumps", Tr.Int (Hashtbl.length resolved));
         ("unresolved", Tr.Bool !unknown_jump);
         ("converged", Tr.Bool converged);
+        ("relevance", Tr.Str (if shared then "shared" else "computed"));
       ];
-  { cfg; entry; entry_states; resolved; summary; storage; prune; converged }
+  {
+    cfg;
+    entry;
+    entry_states;
+    resolved;
+    relevant;
+    summary;
+    storage;
+    prune;
+    converged;
+  }
 
 let reached t start = Hashtbl.mem t.entry_states start
 

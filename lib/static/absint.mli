@@ -54,18 +54,32 @@ type result = {
   entry_states : (int, astate) Hashtbl.t;   (** per reached block *)
   resolved : (int, int list) Hashtbl.t;
       (** block start -> jump targets found for its [Unresolved] edge *)
+  relevant : (int, unit) Hashtbl.t;
+      (** starts of the blocks that can still touch the call data: they
+          read it, end in a jump nobody resolved, or reach such a block.
+          Computed over the whole graph, independent of [entry]; a run
+          given a [base] may share [base]'s table (see {!analyze}), so
+          treat it as read-only. *)
   summary : Summary.t;
   storage : storage_ev list;                (** SSTORE/SLOAD/SHA3 traffic *)
   prune : (int, decision) Hashtbl.t;        (** JUMPI pc -> arm to keep *)
   converged : bool;
 }
 
-val analyze : ?depth:int -> entry:int -> Evm.Cfg.t -> result
+val analyze : ?base:result -> ?depth:int -> entry:int -> Evm.Cfg.t -> result
 (** [analyze ~entry cfg] runs to fixpoint from [entry]. [depth] is the
     number of opaque (untainted) values on the stack at entry — 0 for
     the contract entry point, 1 for a dispatcher-routed function body,
     matching the selector residue the executor models as a free
-    symbol. *)
+    symbol.
+
+    [base] is an earlier whole-contract run whose [relevant] set this
+    run reuses, physically, when it resolves no jump of its own; a run
+    that does resolve one computes its own set over the whole graph.
+    Precondition: [cfg] is [resolved_cfg base] or [base.cfg]. With
+    [base.cfg] the set is shared only if [base] resolved nothing,
+    since then the two graphs are the same. Under this precondition
+    the result equals that of the same call without [base]. *)
 
 val reached : result -> int -> bool
 (** Whether the block at this start was reached from [entry]. *)

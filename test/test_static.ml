@@ -187,6 +187,212 @@ let test_prune_equivalence () =
   Alcotest.(check bool) "pruned paths strictly fewer" true
     (!total_on < !total_off)
 
+(* ---- whole-contract relevance set ---------------------------------- *)
+
+(* A per-entry run handed the whole-contract run as [base] reuses its
+   calldata-relevance set instead of sweeping the graph again; these
+   cases pin that the shortcut changes nothing a run reports. *)
+
+let sorted_bindings h =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+let check_same_run what (shared : Absint.result) (fresh : Absint.result) =
+  let check field ok = Alcotest.(check bool) (what ^ ": " ^ field) true ok in
+  check "summary" (shared.Absint.summary = fresh.Absint.summary);
+  check "prune table"
+    (sorted_bindings shared.Absint.prune = sorted_bindings fresh.Absint.prune);
+  check "storage events" (shared.Absint.storage = fresh.Absint.storage);
+  check "resolved"
+    (sorted_bindings shared.Absint.resolved
+    = sorted_bindings fresh.Absint.resolved);
+  check "relevant set"
+    (sorted_bindings shared.Absint.relevant
+    = sorted_bindings fresh.Absint.relevant)
+
+(* under [dune runtest] the cwd is the test directory; under [dune exec]
+   it is the project root *)
+let committed_corpus_codes () =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/corpus.txt"; "examples/corpus.txt" ]
+  in
+  In_channel.with_open_text path In_channel.input_lines
+  |> List.filter (fun l -> String.starts_with ~prefix:"0x" l)
+  |> List.map Evm.Hex.decode
+
+(* multi-function dispatchers (1 to 40 selectors) under every
+   obfuscation level *)
+let obfuscated_dispatchers () =
+  let fns =
+    List.map (fun (s : Solc.Corpus.sample) -> s.Solc.Corpus.fn)
+      (Solc.Corpus.dataset3 ~seed:61 ~n:40)
+  in
+  List.concat_map
+    (fun level ->
+      List.map
+        (fun k ->
+          Solc.Obfuscate.compile_obfuscated ~level ~seed:(level * 100 + k)
+            {
+              Solc.Compile.fns = List.filteri (fun i _ -> i < k) fns;
+              version = Solc.Version.latest_solidity;
+              storage = [];
+            })
+        [ 1; 7; 40 ])
+    [ 1; 2; 3 ]
+
+let test_relevance_reuse_exact () =
+  let codes_of = List.map (fun (s : Solc.Corpus.sample) -> s.Solc.Corpus.code) in
+  let codes =
+    committed_corpus_codes ()
+    @ codes_of (Solc.Corpus.dataset1 ~seed:51 ~n:6)
+    @ codes_of (Solc.Corpus.dataset2 ~seed:52 ~n:6)
+    @ codes_of (Solc.Corpus.dataset3 ~seed:53 ~n:6)
+    @ codes_of (Solc.Corpus.fuzz_set ~seed:54 ~n:6)
+    @ List.map
+        (fun (s : Solc.Corpus.layout_sample) -> s.Solc.Corpus.lcode)
+        (Solc.Corpus.layout_set ~seed:55 ~n:6)
+    @ obfuscated_dispatchers ()
+  in
+  let entries = ref 0 in
+  List.iteri
+    (fun i code ->
+      let c = Sigrec.Contract.make code in
+      let base = Sigrec.Contract.static c in
+      List.iter
+        (fun (e : Sigrec.Ids.entry) ->
+          let entry = e.Sigrec.Ids.entry_pc in
+          incr entries;
+          check_same_run
+            (Printf.sprintf "contract %d entry %d" i entry)
+            (Absint.analyze ~base ~depth:1 ~entry c.Sigrec.Contract.cfg)
+            (Absint.analyze ~depth:1 ~entry c.Sigrec.Contract.cfg))
+        (Sigrec.Contract.entries c))
+    codes;
+  Alcotest.(check bool) "covers well over a hundred entries" true
+    (!entries > 150)
+
+let test_relevance_shared_per_contract () =
+  let rng = Random.State.make [| 100 |] in
+  let sigs =
+    List.init 100 (fun i ->
+        Abi.Funsig.make
+          (Printf.sprintf "f%d_%d" i (Random.State.int rng 1_000_000))
+          (List.init (1 + (i mod 3)) (fun _ -> Abi.Valgen.sol_basic rng)))
+  in
+  let c =
+    Sigrec.Contract.make
+      (Solc.Compile.compile (Solc.Compile.contract_of_sigs sigs))
+  in
+  Alcotest.(check int) "100 dispatcher entries" 100
+    (Sigrec.Contract.function_count c);
+  let whole = (Sigrec.Contract.static c).Absint.relevant in
+  List.iter
+    (fun (e : Sigrec.Ids.entry) ->
+      let r = Sigrec.Contract.absint_for c ~entry:e.Sigrec.Ids.entry_pc in
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d shares the contract's set" e.Sigrec.Ids.entry_pc)
+        true
+        (r.Absint.relevant == whole))
+    (Sigrec.Contract.entries c)
+
+(* A helper called from 16 sites: a binary tree of CALLVALUE branches
+   puts every call site at the same worklist depth, so the entry-0 run
+   first meets the helper's return jump with all 16 return addresses
+   joined — past the 8-constant set — and leaves it [Unresolved]. A run
+   from one call site sees a single return address and resolves it.
+   Nothing reads the call data, so only the unresolved jump makes blocks
+   relevant: the base's set is wrong for that run. *)
+let shared_helper_prog =
+  let leaves = 16 in
+  let rec tree lo hi =
+    if hi - lo = 1 then
+      let r = Printf.sprintf "ret%d" lo in
+      Asm.
+        [
+          Label (Printf.sprintf "site%d" lo);
+          Push_label r;
+          Push_label "helper";
+          Op Opcode.JUMP;
+          Label r;
+          Op Opcode.STOP;
+        ]
+    else
+      let mid = (lo + hi) / 2 in
+      let right = Printf.sprintf "node%d_%d" mid hi in
+      Asm.[ Op Opcode.CALLVALUE; Push_label right; Op Opcode.JUMPI ]
+      @ tree lo mid
+      @ (Asm.Label right :: tree mid hi)
+  in
+  tree 0 leaves
+  @ Asm.[ Label "helper"; Op Opcode.JUMP ]
+
+(* Over the base's own, unresolved graph a run that resolves nothing
+   still sees the edge the base resolved as [Unresolved], so it must not
+   take the base's set. *)
+let test_relevance_over_base_graph () =
+  let cfg = Cfg.build (Asm.assemble cross_block_prog) in
+  let base = Absint.analyze ~entry:0 cfg in
+  Alcotest.(check int) "base resolved the jump" 1 (Absint.resolved_count base);
+  Cfg.iter_blocks
+    (fun b ->
+      let entry = b.Cfg.start in
+      check_same_run
+        (Printf.sprintf "entry %d" entry)
+        (Absint.analyze ~base ~entry cfg)
+        (Absint.analyze ~entry cfg))
+    cfg
+
+let test_relevance_recomputed_on_new_jump () =
+  let c = Sigrec.Contract.make (Asm.assemble shared_helper_prog) in
+  let cfg = c.Sigrec.Contract.cfg in
+  let base = Sigrec.Contract.static c in
+  Alcotest.(check int) "entry-0 run leaves the return jump unresolved" 1
+    c.Sigrec.Contract.unresolved_after;
+  Alcotest.(check int) "and resolves nothing" 0 (Absint.resolved_count base);
+  let recomputed = ref 0 and shared = ref 0 in
+  Sigrec_trace.Trace.enable ();
+  Cfg.iter_blocks
+    (fun b ->
+      let entry = b.Cfg.start in
+      let r = Absint.analyze ~base ~depth:1 ~entry cfg in
+      let fresh = Absint.analyze ~depth:1 ~entry cfg in
+      check_same_run (Printf.sprintf "entry %d" entry) r fresh;
+      if Absint.resolved_count r > 0 then begin
+        incr recomputed;
+        Alcotest.(check bool) "own set, not the base's" false
+          (r.Absint.relevant == base.Absint.relevant);
+        Alcotest.(check bool) "the base's set would have been wrong" false
+          (sorted_bindings r.Absint.relevant
+          = sorted_bindings base.Absint.relevant)
+      end
+      else begin
+        incr shared;
+        Alcotest.(check bool) "base's set reused" true
+          (r.Absint.relevant == base.Absint.relevant)
+      end)
+    cfg;
+  let events = Sigrec_trace.Trace.collect () in
+  Sigrec_trace.Trace.disable ();
+  Sigrec_trace.Trace.reset ();
+  Alcotest.(check bool) "every call site resolves the return" true
+    (!recomputed >= 16);
+  Alcotest.(check bool) "other entries share" true (!shared > 0);
+  let relevance v =
+    List.length
+      (List.filter
+         (fun (e : Sigrec_trace.Trace.event) ->
+           e.Sigrec_trace.Trace.name = "fixpoint"
+           && List.mem ("relevance", Sigrec_trace.Trace.Str v)
+                e.Sigrec_trace.Trace.args)
+         events)
+  in
+  (* each block ran twice: once with the base, once fresh (computed) *)
+  Alcotest.(check int) "trace attributes shared runs" !shared
+    (relevance "shared");
+  Alcotest.(check int) "trace attributes computed runs"
+    (!shared + (2 * !recomputed))
+    (relevance "computed")
+
 (* ---- differential lint -------------------------------------------- *)
 
 let test_lint_clean_on_corpus () =
@@ -440,6 +646,14 @@ let suite =
       test_summary_darray_copy;
     Alcotest.test_case "prune equivalence over corpus" `Quick
       test_prune_equivalence;
+    Alcotest.test_case "relevance reuse exact" `Quick
+      test_relevance_reuse_exact;
+    Alcotest.test_case "relevance shared per contract" `Quick
+      test_relevance_shared_per_contract;
+    Alcotest.test_case "relevance recomputed on new jump" `Quick
+      test_relevance_recomputed_on_new_jump;
+    Alcotest.test_case "relevance over the base's graph" `Quick
+      test_relevance_over_base_graph;
     Alcotest.test_case "lint clean on corpus" `Quick test_lint_clean_on_corpus;
     Alcotest.test_case "lint flags rule mutation" `Quick
       test_lint_flags_mutation;
