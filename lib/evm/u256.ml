@@ -393,13 +393,33 @@ let of_hex s =
   String.iter (fun c -> r := logor (shift_left !r 4) (of_int (hex_digit c))) s;
   !r
 
-let to_hex_32 a =
-  let buf = Buffer.create 64 in
-  for i = 31 downto 0 do
-    Buffer.add_string buf
-      (Printf.sprintf "%02x" (to_int_trunc (byte (31 - i) a)))
-  done;
-  Buffer.contents buf
+(* Limb [k] (0 = least significant) of the big-endian bytes [s]: one
+   8-byte load when the limb is whole, else the at most 7 leading bytes,
+   which fit an OCaml int. *)
+let limb_be s k =
+  let stop = String.length s - (8 * k) in
+  if stop >= 8 then String.get_int64_be s (stop - 8)
+  else begin
+    let r = ref 0 in
+    for i = 0 to stop - 1 do
+      r := (!r lsl 8) lor Char.code (String.unsafe_get s i)
+    done;
+    Int64.of_int !r
+  end
+
+let of_bytes_be s =
+  if String.length s > 32 then invalid_arg "U256.of_bytes_be: too long";
+  interned (limb_be s 0) (limb_be s 1) (limb_be s 2) (limb_be s 3)
+
+let to_bytes_be a =
+  let b = Bytes.create 32 in
+  Bytes.set_int64_be b 0 a.l3;
+  Bytes.set_int64_be b 8 a.l2;
+  Bytes.set_int64_be b 16 a.l1;
+  Bytes.set_int64_be b 24 a.l0;
+  Bytes.unsafe_to_string b
+
+let to_hex_32 a = Hex.encode (to_bytes_be a)
 
 let to_hex a =
   if is_zero a then "0"
@@ -408,16 +428,6 @@ let to_hex a =
     let rec first_nonzero i = if full.[i] <> '0' then i else first_nonzero (i + 1) in
     let i = first_nonzero 0 in
     String.sub full i (64 - i)
-
-let of_bytes_be s =
-  let n = String.length s in
-  if n > 32 then invalid_arg "U256.of_bytes_be: too long";
-  let r = ref zero in
-  String.iter (fun c -> r := logor (shift_left !r 8) (of_int (Char.code c))) s;
-  !r
-
-let to_bytes_be a =
-  String.init 32 (fun i -> Char.chr (to_int_trunc (byte i a)))
 
 let ten = of_int 10
 

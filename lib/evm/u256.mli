@@ -9,8 +9,8 @@
     Common constants are interned: the integers 0–1024, every power of
     two, and the [ones_low]/[ones_high] byte masks are immutable pooled
     blocks, and every normalizing constructor ([of_int], [of_int64],
-    [add], [mul], [logand], [shift_right], …) routes small results back
-    through the pool. Structurally equal small values are therefore
+    [of_bytes_be], [add], [mul], [logand], [shift_right], …) routes
+    small results back through the pool. Structurally equal small values are therefore
     usually physically equal — [equal] and [compare] exploit this with
     [(==)] fast paths — but physical equality is {e not} guaranteed for
     arbitrary values; use [equal] for truth, [(==)] only as an
@@ -51,7 +51,10 @@ val to_hex_32 : t -> string
 (** 64-digit zero-padded lowercase hex. *)
 
 val of_bytes_be : string -> t
-(** Big-endian bytes, length <= 32; shorter strings are left-padded. *)
+(** Big-endian bytes, length <= 32; shorter strings are left-padded.
+    Raises [Invalid_argument] on longer strings. Values 0–1024 come
+    back as the pooled blocks, so a decoded small PUSH constant is
+    physically equal to [of_int] of the same value. *)
 
 val to_bytes_be : t -> string
 (** 32-byte big-endian representation. *)

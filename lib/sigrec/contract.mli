@@ -30,8 +30,10 @@ type t = {
       (** per-entry depth-1 absint runs, memoized by {!absint_for} *)
 }
 
-val make : string -> t
-(** [make code] builds the context from raw runtime bytecode. *)
+val make : ?code_hash:string -> string -> t
+(** [make code] builds the context from raw runtime bytecode.
+    [code_hash], when given, must be [hash_of_code code]; a caller that
+    already holds the digest passes it to save a second Keccak. *)
 
 val of_hex : string -> t
 (** Decode a hex string (optional ["0x"] prefix) first. *)

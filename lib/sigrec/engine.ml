@@ -109,12 +109,12 @@ let pp_report fmt report =
    TASE per dispatcher entry. Every per-function failure mode is
    reified into the outcome instead of yielding a silently shorter
    list. *)
-let analyze_uncounted ~cfg ~stats code =
+let analyze_uncounted ~cfg ~stats ~code_hash code =
   let lift0 = Tr.now_ns () in
-  match Contract.make code with
+  match Contract.make ~code_hash code with
   | exception e ->
     {
-      code_hash = Evm.Hex.encode (Contract.hash_of_code code);
+      code_hash = Evm.Hex.encode code_hash;
       outcomes =
         [
           Failed
@@ -208,13 +208,13 @@ let analyze_uncounted ~cfg ~stats code =
     end;
     { code_hash; outcomes; from_cache = false }
 
-let analyze ~cfg ~stats code =
+let analyze ~cfg ~stats ~code_hash code =
   Stats.cache_miss stats;
   let t0_us = if Tr.enabled () then Tr.now_us () else 0. in
   (* interner traffic is domain-local and an analysis runs entirely in
      one domain, so the before/after delta is exactly this analysis's *)
   let ih0, im0 = Symex.Sexpr.interner_counters () in
-  let report = analyze_uncounted ~cfg ~stats code in
+  let report = analyze_uncounted ~cfg ~stats ~code_hash code in
   let ih1, im1 = Symex.Sexpr.interner_counters () in
   Stats.add_interner stats ~hits:(ih1 - ih0) ~misses:(im1 - im0);
   if Tr.enabled () then
@@ -242,7 +242,8 @@ let effective_jobs t =
 
 (* The one content-addressed fan-out behind every product: hash each
    input once, look each distinct hash up once in [lru] (input order),
-   [compute] the misses over the pool, insert them in first-occurrence
+   [compute] the misses over the pool (each given its digest, so no
+   product hashes a code twice), insert them in first-occurrence
    order and answer [(hash, value, reused)] per input, in input order.
    [count] attributes in-batch duplicates, reuses and LRU evictions to
    the engine's cache counters — the report cache's alone, so the
@@ -299,8 +300,8 @@ let fetch_all t lru ~compute ~count codes =
       if i0 < work_n then begin
         let hi = Stdlib.min (i0 + chunk) work_n in
         for i = i0 to hi - 1 do
-          let _, code = work.(i) in
-          results.(i) <- Some (compute ~stats code)
+          let code_hash, code = work.(i) in
+          results.(i) <- Some (compute ~stats ~code_hash code)
         done;
         loop ()
       end
@@ -520,7 +521,7 @@ type layout_report = {
   layout_from_cache : bool;
 }
 
-let layout_of_code ~stats code =
+let layout_of_code ~stats ~code_hash:_ code =
   let layout = Sigrec_layout.Layout.recover code in
   Stats.add_layout stats
     ~slots:(List.length layout.Sigrec_layout.Layout.entries)

@@ -770,8 +770,11 @@ let analyze ?base ?(depth = 0) ~entry cfg =
     }
   in
   (* The recording pass iterates a hash table, so impose a canonical
-     order on the storage events; each pc yields at most one event per
-     run, making this a total order. *)
+     order on the storage events: by pc, then kind, slot text and mask
+     lane. The recording pass interprets each reached block once and an
+     opcode records at most one event, so pcs are distinct in practice
+     and the slot text — a [Format] rendering, far costlier than the
+     analysis itself — is only built to break a tie. *)
   let storage =
     let slot_key = function
       | None -> "?"
@@ -779,12 +782,16 @@ let analyze ?base ?(depth = 0) ~entry cfg =
     in
     let key e =
       match e.ev with
-      | Sload sl -> (e.pc, 0, slot_key sl, 0, 0)
-      | Sstore (sl, _) -> (e.pc, 1, slot_key sl, 0, 0)
-      | Sderive sl -> (e.pc, 2, slot_key (Some sl), 0, 0)
-      | Smask (sl, k, w) -> (e.pc, 3, slot_key (Some sl), k, w)
+      | Sload sl -> (0, slot_key sl, 0, 0)
+      | Sstore (sl, _) -> (1, slot_key sl, 0, 0)
+      | Sderive sl -> (2, slot_key (Some sl), 0, 0)
+      | Smask (sl, k, w) -> (3, slot_key (Some sl), k, w)
     in
-    List.sort (fun a b -> compare (key a) (key b)) acc.r_storage
+    List.sort
+      (fun a b ->
+        let c = Int.compare a.pc b.pc in
+        if c <> 0 then c else compare (key a) (key b))
+      acc.r_storage
   in
   (* a diverged analysis has no business steering the executor *)
   if not converged then Hashtbl.reset prune;

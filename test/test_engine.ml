@@ -505,6 +505,37 @@ let test_bounded_lru_parity () =
     ~from_cache:(fun r -> r.Sigrec.Engine.layout_from_cache)
     (layout_codes ~seed:23 5)
 
+(* The engine hashes each input once and hands that digest to the
+   analysis; every report must still carry the Keccak-256 of its own
+   bytecode, whichever path built it. *)
+let test_code_hash_is_digest_of_code () =
+  let recovered = List.hd (corpus_codes ~seed:13 1) in
+  let codes =
+    [
+      recovered;
+      recovered;
+      "";
+      Evm.Hex.decode "60006000f3";
+      (* PUSH2 with one immediate byte left *)
+      Evm.Hex.decode "600061ff";
+    ]
+  in
+  let reports = Sigrec.Engine.recover_all (engine ()) codes in
+  List.iteri
+    (fun i (code, (r : Sigrec.Engine.report)) ->
+      Alcotest.(check string)
+        (Printf.sprintf "input %d code hash" i)
+        (Evm.Hex.encode (Evm.Keccak.digest code))
+        r.Sigrec.Engine.code_hash)
+    (List.combine codes reports);
+  Alcotest.(check bool) "the first input recovers functions" true
+    (Sigrec.Engine.signatures (List.hd reports) <> []);
+  Alcotest.(check bool) "the repeat is answered from cache" true
+    (List.nth reports 1).Sigrec.Engine.from_cache;
+  let given = String.make 32 '\x2a' in
+  Alcotest.(check string) "Contract.make keeps a given hash" given
+    (Sigrec.Contract.code_hash (Sigrec.Contract.make ~code_hash:given recovered))
+
 let suite =
   [
     Alcotest.test_case "parallel = sequential" `Slow
@@ -539,4 +570,6 @@ let suite =
       test_layout_cache_independent_of_reports;
     Alcotest.test_case "bounded LRU: jobs parity, single = batch of one"
       `Quick test_bounded_lru_parity;
+    Alcotest.test_case "code hash is the digest of the code" `Quick
+      test_code_hash_is_digest_of_code;
   ]

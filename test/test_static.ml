@@ -295,6 +295,66 @@ let test_relevance_shared_per_contract () =
         (r.Absint.relevant == whole))
     (Sigrec.Contract.entries c)
 
+(* ---- storage-event order ------------------------------------------ *)
+
+(* The order storage events had when the comparator rendered each
+   event's slot with [Format] on every comparison: the reference the
+   render-free order must reproduce byte for byte. *)
+let reference_storage_order (events : Absint.storage_ev list) =
+  let slot_key = function
+    | None -> "?"
+    | Some s -> Format.asprintf "%a" Domain.pp_slot s
+  in
+  let key (e : Absint.storage_ev) =
+    match e.Absint.ev with
+    | Absint.Sload sl -> (e.Absint.pc, 0, slot_key sl, 0, 0)
+    | Absint.Sstore (sl, _) -> (e.Absint.pc, 1, slot_key sl, 0, 0)
+    | Absint.Sderive sl -> (e.Absint.pc, 2, slot_key (Some sl), 0, 0)
+    | Absint.Smask (sl, k, w) -> (e.Absint.pc, 3, slot_key (Some sl), k, w)
+  in
+  List.sort (fun a b -> compare (key a) (key b)) events
+
+let test_storage_order_render_free () =
+  let codes =
+    committed_corpus_codes ()
+    @ List.map
+        (fun (s : Solc.Corpus.layout_sample) -> s.Solc.Corpus.lcode)
+        (Solc.Corpus.layout_set ~seed:57 ~n:24)
+  in
+  let runs = ref 0 and events = ref 0 in
+  let check what (r : Absint.result) =
+    incr runs;
+    events := !events + List.length r.Absint.storage;
+    Alcotest.(check bool) (what ^ ": reference order") true
+      (r.Absint.storage = reference_storage_order r.Absint.storage);
+    (* each reached block is interpreted once by the recording pass and
+       an opcode records at most one event, so the pc alone orders them *)
+    let pcs = List.map (fun (e : Absint.storage_ev) -> e.Absint.pc) r.Absint.storage in
+    Alcotest.(check int) (what ^ ": distinct pcs") (List.length pcs)
+      (List.length (List.sort_uniq Int.compare pcs))
+  in
+  List.iteri
+    (fun i code ->
+      let raw = Cfg.build code in
+      let r0 = Absint.analyze ~depth:0 ~entry:0 raw in
+      check (Printf.sprintf "contract %d whole" i) r0;
+      (* the layout pass's second run over the resolved graph *)
+      if Absint.resolved_count r0 > 0 then
+        check
+          (Printf.sprintf "contract %d resolved" i)
+          (Absint.analyze ~base:r0 ~depth:0 ~entry:0 (Absint.resolved_cfg r0));
+      let c = Sigrec.Contract.make code in
+      List.iter
+        (fun (e : Sigrec.Ids.entry) ->
+          let entry = e.Sigrec.Ids.entry_pc in
+          check
+            (Printf.sprintf "contract %d entry %d" i entry)
+            (Sigrec.Contract.absint_for c ~entry))
+        (Sigrec.Contract.entries c))
+    codes;
+  Alcotest.(check bool) "exercises storage traffic" true (!events > 200);
+  Alcotest.(check bool) "covers whole and per-entry runs" true (!runs > 60)
+
 (* A helper called from 16 sites: a binary tree of CALLVALUE branches
    puts every call site at the same worklist depth, so the entry-0 run
    first meets the helper's return jump with all 16 return addresses
@@ -654,6 +714,8 @@ let suite =
       test_relevance_recomputed_on_new_jump;
     Alcotest.test_case "relevance over the base's graph" `Quick
       test_relevance_over_base_graph;
+    Alcotest.test_case "storage order render-free" `Quick
+      test_storage_order_render_free;
     Alcotest.test_case "lint clean on corpus" `Quick test_lint_clean_on_corpus;
     Alcotest.test_case "lint flags rule mutation" `Quick
       test_lint_flags_mutation;

@@ -260,6 +260,98 @@ let properties =
         U256.equal (U256.logand (U256.signextend k a) m) (U256.logand a m));
   ]
 
+(* -- codecs against the byte-at-a-time reference ------------------------ *)
+
+(* The codecs as they were first written — one shift and mask per byte,
+   one sprintf per hex pair — kept as the reference the limb-wise ones
+   must agree with. *)
+module Reference = struct
+  let of_bytes_be s =
+    if String.length s > 32 then invalid_arg "U256.of_bytes_be: too long";
+    let r = ref U256.zero in
+    String.iter
+      (fun c -> r := U256.logor (U256.shift_left !r 8) (U256.of_int (Char.code c)))
+      s;
+    !r
+
+  let to_bytes_be a =
+    String.init 32 (fun i -> Char.chr (U256.to_int_trunc (U256.byte i a)))
+
+  let to_hex_32 a =
+    let buf = Buffer.create 64 in
+    for i = 31 downto 0 do
+      Buffer.add_string buf
+        (Printf.sprintf "%02x" (U256.to_int_trunc (U256.byte (31 - i) a)))
+    done;
+    Buffer.contents buf
+
+  let to_hex a =
+    if U256.is_zero a then "0"
+    else
+      let full = to_hex_32 a in
+      let rec first_nonzero i =
+        if full.[i] <> '0' then i else first_nonzero (i + 1)
+      in
+      let i = first_nonzero 0 in
+      String.sub full i (64 - i)
+end
+
+let codecs_agree a =
+  let b = Reference.to_bytes_be a in
+  String.equal (U256.to_bytes_be a) b
+  && String.equal (U256.to_hex_32 a) (Reference.to_hex_32 a)
+  && String.equal (U256.to_hex a) (Reference.to_hex a)
+  && U256.equal (U256.of_bytes_be b) (Reference.of_bytes_be b)
+
+let of_bytes_agrees s =
+  U256.equal (U256.of_bytes_be s) (Reference.of_bytes_be s)
+
+let test_codecs_reference () =
+  let ok = Alcotest.(check bool) in
+  List.iter
+    (fun (name, a) -> ok name true (codecs_agree a))
+    [
+      ("zero", U256.zero);
+      ("one", U256.one);
+      ("1024, last pooled", U256.of_int 1024);
+      ("1025, first unpooled", U256.of_int 1025);
+      ("max_int", U256.max_int);
+      ("2^64", U256.pow2 64);
+      ("2^255", U256.pow2 255);
+    ];
+  (* every input length, with and without leading zero bytes, so each
+     limb boundary and each partial-limb width is crossed *)
+  let rng = Random.State.make [| 0x5eed |] in
+  for n = 0 to 32 do
+    let random = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let zeros = String.make n '\000' in
+    let ones = String.make n '\xff' in
+    let lead = String.mapi (fun i c -> if i < n / 2 then '\000' else c) random in
+    List.iter
+      (fun (kind, s) ->
+        ok (Printf.sprintf "of_bytes_be len %d %s" n kind) true
+          (of_bytes_agrees s))
+      [ ("random", random); ("zeros", zeros); ("0xff", ones); ("leading zeros", lead) ]
+  done;
+  Alcotest.check_raises "33 bytes rejected"
+    (Invalid_argument "U256.of_bytes_be: too long") (fun () ->
+      ignore (U256.of_bytes_be (String.make 33 '\001')));
+  (* small decoded constants land in the pool [Domain.equal]'s (==)
+     fast path relies on *)
+  ok "2-byte 1024 is the pooled block" true
+    (U256.of_bytes_be "\x04\x00" == U256.of_int 1024);
+  ok "32-byte 7 is the pooled block" true
+    (U256.of_bytes_be (String.make 31 '\000' ^ "\x07") == U256.of_int 7)
+
+let codec_properties =
+  [
+    prop "codecs agree with the reference" arb_u256 codecs_agree;
+    prop "codecs agree on small values" arb_small codecs_agree;
+    prop "of_bytes_be agrees on any length <= 32"
+      QCheck.(string_of_size (Gen.int_bound 32))
+      of_bytes_agrees;
+  ]
+
 (* the small-constant pools must hand back one canonical block per
    value: structural equality and physical equality coincide there *)
 let test_pooled_constants_physical () =
@@ -291,9 +383,11 @@ let suite =
     Alcotest.test_case "masks" `Quick test_masks;
     Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
     Alcotest.test_case "bytes_be" `Quick test_bytes_be;
+    Alcotest.test_case "codecs match the reference" `Quick
+      test_codecs_reference;
     Alcotest.test_case "decimal" `Quick test_decimal;
     Alcotest.test_case "comparisons" `Quick test_comparisons;
     Alcotest.test_case "pooled constants are physically shared" `Quick
       test_pooled_constants_physical;
   ]
-  @ properties
+  @ properties @ codec_properties
