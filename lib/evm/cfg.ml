@@ -22,107 +22,80 @@ type t = {
   starts : int array;
 }
 
-let leaders instrs =
-  let set = Hashtbl.create 64 in
-  Hashtbl.replace set 0 ();
-  let rec go = function
-    | [] -> ()
-    | { Disasm.offset; op } :: rest ->
-      if op = Opcode.JUMPDEST then Hashtbl.replace set offset ();
-      if Opcode.is_terminator op then (
-        match rest with
-        | { Disasm.offset = next; _ } :: _ -> Hashtbl.replace set next ()
-        | [] -> ());
-      go rest
-  in
-  go instrs;
-  set
-
-(* Static jump target: the PUSH immediately before the jump. *)
-let static_target block_instrs =
-  let rec last_two = function
-    | [ { Disasm.op = Opcode.PUSH (_, v); _ }; _ ] -> U256.to_int v
-    | _ :: rest -> last_two rest
-    | [] -> None
-  in
-  last_two block_instrs
-
-let index_of_chunks by_start chunks =
-  let arr =
-    Array.of_list
-      (List.filter_map
-         (fun start -> Hashtbl.find_opt by_start start)
-         chunks)
-  in
-  let starts = Array.map (fun b -> b.start) arr in
-  { by_start; arr; starts }
-
+(* One pass over the instruction array. Offsets ascend and abut (the
+   disassembler's output), so leaders, block ends and the instruction
+   after a block are index arithmetic; a byte map of what starts at each
+   offset answers the fallthrough and jump-destination checks. *)
 let of_instructions instrs =
-  let leader_set = leaders instrs in
-  (* offset-indexed views of the instruction stream: O(1) jump-dest
-     validity and fallthrough checks instead of per-edge list scans *)
-  let jumpdests = Hashtbl.create 64 and offsets = Hashtbl.create 256 in
-  List.iter
+  let a = Array.of_list instrs in
+  let n = Array.length a in
+  let limit =
+    if n = 0 then 0
+    else
+      let last = a.(n - 1) in
+      last.Disasm.offset + Opcode.size last.Disasm.op
+  in
+  (* '\001' an instruction starts here, '\002' a JUMPDEST does *)
+  let at = Bytes.make limit '\000' in
+  Array.iter
     (fun { Disasm.offset; op } ->
-      Hashtbl.replace offsets offset ();
-      if op = Opcode.JUMPDEST then Hashtbl.replace jumpdests offset ())
-    instrs;
-  (* split into chunks at leaders / after terminators *)
-  let chunks = ref [] and current = ref [] in
-  let flush () =
-    match !current with
-    | [] -> ()
-    | is -> chunks := List.rev is :: !chunks; current := []
+      Bytes.set at offset (if op = Opcode.JUMPDEST then '\002' else '\001'))
+    a;
+  let valid_dest o = o >= 0 && o < limit && Bytes.get at o = '\002' in
+  (* the block of instructions [s, e) *)
+  let block s e =
+    let last = a.(e - 1) in
+    let has_next = e < n in
+    let after = last.Disasm.offset + Opcode.size last.Disasm.op in
+    (* static jump target: the PUSH immediately before the jump *)
+    let static_target =
+      if e - s < 2 then None
+      else
+        match a.(e - 2).Disasm.op with
+        | Opcode.PUSH (_, v) -> U256.to_int v
+        | _ -> None
+    in
+    let succ =
+      match last.Disasm.op with
+      | Opcode.JUMP -> (
+        match static_target with
+        | Some target when valid_dest target -> [ Jump_to target ]
+        | Some _ -> [ Exit ] (* jump to invalid destination: halts *)
+        | None -> [ Unresolved ])
+      | Opcode.JUMPI -> (
+        let fallthrough = if has_next then [ Fallthrough after ] else [] in
+        match static_target with
+        | Some target when valid_dest target ->
+          if has_next then [ Branch { taken = target; fallthrough = after } ]
+          else [ Jump_to target ]
+        | Some _ -> fallthrough
+        | None -> Unresolved :: fallthrough)
+      | Opcode.STOP | Opcode.RETURN | Opcode.REVERT | Opcode.INVALID
+      | Opcode.SELFDESTRUCT ->
+        [ Exit ]
+      | _ -> if has_next then [ Fallthrough after ] else [ Exit ]
+    in
+    let terminator =
+      if Opcode.is_terminator last.Disasm.op then Some last.Disasm.op
+      else None
+    in
+    let rec instrs i acc = if i < s then acc else instrs (i - 1) (a.(i) :: acc) in
+    { start = a.(s).Disasm.offset; instrs = instrs (e - 1) []; terminator; succ }
   in
-  List.iter
-    (fun ({ Disasm.offset; op } as i) ->
-      if Hashtbl.mem leader_set offset && !current <> [] then flush ();
-      current := i :: !current;
-      if Opcode.is_terminator op then flush ())
-    instrs;
-  flush ();
-  let chunks = List.rev !chunks in
+  (* a block ends before a JUMPDEST and after a terminator *)
+  let rec split s i acc =
+    if i = n then List.rev (if i > s then block s i :: acc else acc)
+    else
+      let op = a.(i).Disasm.op in
+      if i > s && op = Opcode.JUMPDEST then split i (i + 1) (block s i :: acc)
+      else if Opcode.is_terminator op then
+        split (i + 1) (i + 1) (block s (i + 1) :: acc)
+      else split s (i + 1) acc
+  in
+  let arr = Array.of_list (split 0 0 []) in
   let by_start = Hashtbl.create 64 in
-  let next_offset chunk =
-    match List.rev chunk with
-    | { Disasm.offset; op } :: _ -> offset + Opcode.size op
-    | [] -> 0
-  in
-  let order = List.map (fun c -> (List.hd c).Disasm.offset) chunks in
-  let valid_dest offset = Hashtbl.mem jumpdests offset in
-  List.iter
-    (fun chunk ->
-      let start = (List.hd chunk).Disasm.offset in
-      let last = List.nth chunk (List.length chunk - 1) in
-      let after = next_offset chunk in
-      let has_next = Hashtbl.mem offsets after in
-      let succ =
-        match last.Disasm.op with
-        | Opcode.JUMP -> (
-          match static_target chunk with
-          | Some target when valid_dest target -> [ Jump_to target ]
-          | Some _ -> [ Exit ] (* jump to invalid destination: halts *)
-          | None -> [ Unresolved ])
-        | Opcode.JUMPI -> (
-          let fallthrough = if has_next then [ Fallthrough after ] else [] in
-          match static_target chunk with
-          | Some target when valid_dest target ->
-            if has_next then [ Branch { taken = target; fallthrough = after } ]
-            else [ Jump_to target ]
-          | Some _ -> fallthrough
-          | None -> Unresolved :: fallthrough)
-        | Opcode.STOP | Opcode.RETURN | Opcode.REVERT | Opcode.INVALID
-        | Opcode.SELFDESTRUCT ->
-          [ Exit ]
-        | _ -> if has_next then [ Fallthrough after ] else [ Exit ]
-      in
-      let terminator =
-        if Opcode.is_terminator last.Disasm.op then Some last.Disasm.op
-        else None
-      in
-      Hashtbl.replace by_start start { start; instrs = chunk; terminator; succ })
-    chunks;
-  index_of_chunks by_start order
+  Array.iter (fun b -> Hashtbl.replace by_start b.start b) arr;
+  { by_start; arr; starts = Array.map (fun b -> b.start) arr }
 
 let build bytecode = of_instructions (Disasm.disassemble bytecode)
 

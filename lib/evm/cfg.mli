@@ -27,6 +27,9 @@ val build : string -> t
 (** [build bytecode] disassembles and partitions into blocks. *)
 
 val of_instructions : Disasm.instruction list -> t
+(** Partition a listing as {!Disasm.disassemble} returns it (offsets
+    ascending, each instruction starting where the previous one ends)
+    into blocks. *)
 
 val block_at : t -> int -> block option
 val entry : t -> block option

@@ -47,6 +47,21 @@ let disassemble code =
   in
   go 0 []
 
+type index = Opcode.t option array
+
+let index instrs =
+  let size =
+    List.fold_left (fun m { offset; _ } -> Stdlib.max m (offset + 1)) 0 instrs
+  in
+  let ops = Array.make size None in
+  List.iter (fun { offset; op } -> ops.(offset) <- Some op) instrs;
+  ops
+
+let op_at ops pc = if pc >= 0 && pc < Array.length ops then ops.(pc) else None
+
+let is_jumpdest ops pc =
+  match op_at ops pc with Some Opcode.JUMPDEST -> true | _ -> false
+
 let pp_listing fmt instrs =
   List.iter
     (fun { offset; op } ->

@@ -3,32 +3,56 @@ module Sexpr = Symex.Sexpr
 
 type entry = { selector : string; entry_pc : int; entry_stack_depth : int }
 
+(* A dispatch decision: after an even number of ISZEROs, the branch
+   condition is EQ of a constant of at most 32 bits (the function id)
+   and a non-constant expression that mentions the call-data load at
+   offset 0 (the selector the contract computed). *)
+let dispatch_selector loads cond =
+  let core, iszeros = Sexpr.iszero_depth cond in
+  match Sexpr.node core with
+  | Sexpr.Bin (Sexpr.Beq, a, b) when iszeros mod 2 = 0 -> (
+    let id_of e =
+      match Sexpr.to_const e with
+      | Some v when U256.bits v <= 32 ->
+        Some (String.sub (U256.to_bytes_be v) 28 4)
+      | _ -> None
+    in
+    let selector_load id =
+      List.exists
+        (fun (l : Symex.Trace.load) ->
+          l.Symex.Trace.id = id
+          && Sexpr.to_const_int l.Symex.Trace.loc = Some 0)
+        loads
+    in
+    let is_selector_expr e =
+      Sexpr.to_const e = None && List.exists selector_load (Sexpr.loads_of e)
+    in
+    match (id_of a, id_of b) with
+    | Some id, None when is_selector_expr b -> Some id
+    | None, Some id when is_selector_expr a -> Some id
+    | _ -> None)
+  | _ -> None
+
 (* Primary extraction: symbolic execution of the dispatcher. The
    selector is whatever the contract computes from the first call-data
    word; every branch whose condition compares that expression against
    a 4-byte constant is a dispatch decision, and the equal branch leads
    to the function body. This is robust to junk instructions and
    constant re-encodings, because it looks at the executed comparison,
-   not the instruction text (the same philosophy as TASE itself). *)
+   not the instruction text (the same philosophy as TASE itself).
+
+   The run stops at the function entries: a dispatch decision's taken
+   arm is recorded but not explored, since the body behind it is TASE's
+   to walk, once per entry. *)
 let extract_symbolic program =
   let budget =
     { Symex.Exec.default_budget with Symex.Exec.max_paths = 256 }
   in
   let trace =
-    Symex.Exec.run_prepared ~budget program ~entry:0 ~init_stack:[] ()
-  in
-  (* the selector expression derives from the load at offset 0 *)
-  let selector_load_ids =
-    List.filter_map
-      (fun (l : Symex.Trace.load) ->
-        match Sexpr.to_const_int l.Symex.Trace.loc with
-        | Some 0 -> Some l.Symex.Trace.id
-        | _ -> None)
-      trace.Symex.Trace.loads
-  in
-  let is_selector_expr e =
-    List.exists (fun id -> Sexpr.mentions_load e id) selector_load_ids
-    && Sexpr.to_const e = None
+    Symex.Exec.run_prepared ~budget
+      ~stop_at:(fun loads cond ->
+        Option.is_some (dispatch_selector loads cond))
+      program ~entry:0 ~init_stack:[] ()
   in
   let out = ref [] in
   Hashtbl.iter
@@ -38,22 +62,9 @@ let extract_symbolic program =
       | Some target ->
         List.iter
           (fun cond ->
-            let core, iszeros = Sexpr.iszero_depth cond in
-            match Sexpr.node core with
-            | Sexpr.Bin (Sexpr.Beq, a, b) when iszeros mod 2 = 0 -> (
-              let id_of e =
-                match Sexpr.to_const e with
-                | Some v when U256.bits v <= 32 ->
-                  Some (String.sub (U256.to_bytes_be v) 28 4)
-                | _ -> None
-              in
-              match (id_of a, id_of b, a, b) with
-              | Some id, None, _, e when is_selector_expr e ->
-                out := (pc, id, target) :: !out
-              | None, Some id, e, _ when is_selector_expr e ->
-                out := (pc, id, target) :: !out
-              | _ -> ())
-            | _ -> ())
+            match dispatch_selector trace.Symex.Trace.loads cond with
+            | Some id -> out := (pc, id, target) :: !out
+            | None -> ())
           conds)
     trace.Symex.Trace.jumpi_conds;
   (* dispatch order = ascending JUMPI pc *)

@@ -152,39 +152,28 @@ let region_lookup r off =
 
 
 (* A disassembled program ready for repeated runs: the instruction
-   index and jump-destination set are built once and shared across
-   every entry point (and, being read-only after [prepare], across
-   domains). *)
+   index is built once and shared across every entry point (and, being
+   read-only after [prepare], across domains). The per-step fetch and
+   the jump-destination check are array reads. *)
 type program = {
   code : string;
   instrs : Disasm.instruction list;
-  by_offset : (int, Opcode.t) Hashtbl.t;
-  jumpdests : (int, unit) Hashtbl.t;
+  ops : Disasm.index;
 }
 
 let prepare code =
   let instrs = Disasm.disassemble code in
-  let by_offset = Hashtbl.create (List.length instrs) in
-  List.iter
-    (fun i -> Hashtbl.replace by_offset i.Disasm.offset i.Disasm.op)
-    instrs;
-  let jumpdests = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      if i.Disasm.op = Opcode.JUMPDEST then
-        Hashtbl.replace jumpdests i.Disasm.offset ())
-    instrs;
-  { code; instrs; by_offset; jumpdests }
+  { code; instrs; ops = Disasm.index instrs }
 
 let code p = p.code
 let instructions p = p.instrs
 
-let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
-    ~entry ~init_stack () =
+let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None)
+    ?(stop_at = fun _ _ -> false) program ~entry ~init_stack () =
   let r = Stdlib.Domain.DLS.get recorder_key in
   reset_recorder r;
   let t0 = if Tr.enabled () then Tr.now_us () else 0. in
-  let { code; by_offset; jumpdests; _ } = program in
+  let { code; ops; _ } = program in
   (* free-symbol names are per-run so that a run's trace depends only on
      its own inputs: re-running the same (program, entry) yields
      byte-identical symbols no matter what ran before or concurrently *)
@@ -235,7 +224,7 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
         running := false
       end
       else
-        match Hashtbl.find_opt by_offset !pc with
+        match Disasm.op_at ops !pc with
         | None -> running := false
         | Some op ->
           let cur_pc = !pc in
@@ -427,13 +416,13 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
           | Opcode.JUMP -> (
             let target = pop () in
             match Sexpr.to_const_int target with
-            | Some t when Hashtbl.mem jumpdests t -> pc := t
+            | Some t when Disasm.is_jumpdest ops t -> pc := t
             | _ -> running := false)
           | Opcode.JUMPI -> (
             let target = pop () in
             let cond = pop () in
             match Sexpr.to_const_int target with
-            | Some t when Hashtbl.mem jumpdests t -> (
+            | Some t when Disasm.is_jumpdest ops t -> (
               record_jumpi_cond r cur_pc cond;
               Hashtbl.replace r.jumpi_targets cur_pc t;
               (* Vyper-style range checks: guard compares a raw loaded
@@ -473,11 +462,16 @@ let run_prepared ?(budget = default_budget) ?(prune = fun _ -> None) program
                     | None -> 0
                   in
                   forks := Imap.add cur_pc (count + 1) !forks;
+                  (* a stop branch is recorded above but its taken arm
+                     is never explored: the path continues on the
+                     fallthrough, and at the unrolling bound it ends
+                     instead of jumping *)
+                  let stop = stop_at r.loads cond in
                   if count >= budget.max_forks_per_pc then
                     (* unrolling bound hit: take only the jump, which is
                        the loop exit in compiler-emitted loops *)
-                    pc := t
-                  else begin
+                    (if stop then running := false else pc := t)
+                  else if not stop then begin
                     if Tr.enabled () then
                       Tr.instant Tr.Symex "fork" [ ("pc", Tr.Int cur_pc) ];
                     Stack.push

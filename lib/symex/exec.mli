@@ -22,9 +22,10 @@ type prune_decision = Take_jump | Take_fallthrough
     matter for call-data access, so follow it instead of forking. *)
 
 type program
-(** A disassembled program ready for repeated runs: the instruction
-    index and jump-destination set are built once. Read-only after
-    {!prepare}, so a program can be shared across domains. *)
+(** A disassembled program ready for repeated runs: the opcode at each
+    byte offset (which also answers jump-destination checks) is indexed
+    once. Read-only after {!prepare}, so a program can be shared across
+    domains. *)
 
 val prepare : string -> program
 (** [prepare code] disassembles and indexes the bytecode. *)
@@ -35,6 +36,7 @@ val instructions : program -> Evm.Disasm.instruction list
 val run_prepared :
   ?budget:budget ->
   ?prune:(int -> prune_decision option) ->
+  ?stop_at:(Trace.load list -> Sexpr.t -> bool) ->
   program ->
   entry:int ->
   init_stack:Sexpr.t list ->
@@ -43,7 +45,15 @@ val run_prepared :
 (** Explore from [entry] without re-disassembling. [prune] is consulted
     at each JUMPI whose condition stays symbolic; a decision makes the
     executor follow that single arm (counted in
-    [Trace.forks_pruned]) instead of forking. *)
+    [Trace.forks_pruned]) instead of forking.
+
+    [stop_at] is asked at each symbolic JUMPI [prune] left alone, with
+    the loads recorded so far (newest first) and the condition. On
+    [true] the site's condition and target are recorded as usual, but
+    the taken arm is never explored: the path continues on the
+    fallthrough, and ends where the unrolling bound would have taken
+    the jump. Function-id extraction uses it to run the dispatcher
+    without walking into the function bodies it routes to. *)
 
 val run :
   ?budget:budget ->

@@ -505,6 +505,87 @@ let test_bounded_lru_parity () =
     ~from_cache:(fun r -> r.Sigrec.Engine.layout_from_cache)
     (layout_codes ~seed:23 5)
 
+(* Interleaving the two products must leave no trace in either one.
+   Five steps, each a [recover_all] and then a [layout_all] on
+   overlapping bytecodes, go through 3-entry LRUs, so both caches evict
+   mid-sequence. The layout side must match the same [layout_all] calls
+   alone: layouts, reuse flags, layout-cache row and layout counters.
+   The report side must match the same [recover_all] calls alone: reuse
+   flags and report-cache row, which move if a layout request touches
+   the report cache's recency order (a lookup of c0 in the first step
+   would save it from the second step's eviction). *)
+let test_layout_after_recover () =
+  let c = Array.of_list (layout_codes ~seed:24 5) in
+  let steps =
+    [
+      ([ c.(0); c.(1); c.(2) ], [ c.(0) ]);
+      ([ c.(3) ], [ c.(3); c.(1) ]);
+      ([ c.(0); c.(4) ], [ c.(0); c.(2); c.(4) ]);
+      ([ c.(2); c.(3); c.(1) ], [ c.(1); c.(2); c.(3); c.(1) ]);
+      ([ c.(1); c.(4) ], [ c.(4); c.(1); c.(0) ]);
+    ]
+  in
+  let flags fs =
+    String.concat "" (List.map (fun f -> if f then "h" else "m") fs)
+  in
+  let row name e =
+    let _, len, cap, ev =
+      List.find (fun (n, _, _, _) -> n = name) (Sigrec.Engine.cache_stats e)
+    in
+    Printf.sprintf "%s %d/%d evicted %d" name len cap ev
+  in
+  (* per step: the report side, then the layout side, as text *)
+  let run ~recover ~layout jobs =
+    let e =
+      Sigrec.Engine.make
+        Sigrec.Engine.Config.(
+          default |> with_jobs jobs |> with_cache_capacity 3)
+    in
+    let sides =
+      List.map
+        (fun (rs, ls) ->
+          let reports =
+            if recover then
+              flags
+                (List.map
+                   (fun r -> r.Sigrec.Engine.from_cache)
+                   (Sigrec.Engine.recover_all e rs))
+            else ""
+          in
+          let report_side = reports ^ " " ^ row "reports" e in
+          let layouts =
+            if layout then
+              let ls = Sigrec.Engine.layout_all e ls in
+              flags (List.map (fun r -> r.Sigrec.Engine.layout_from_cache) ls)
+              ^ "\n" ^ render_layouts ls
+            else ""
+          in
+          (report_side, layouts ^ "\n" ^ row "layouts" e))
+        steps
+    in
+    let st = Sigrec.Engine.stats e in
+    ( List.map fst sides,
+      List.map snd sides
+      @ [
+          Printf.sprintf "layouts %d slots %d unknown %d"
+            (Sigrec.Stats.layouts_recovered st)
+            (Sigrec.Stats.layout_slots st)
+            (Sigrec.Stats.layout_unknown_ops st);
+        ] )
+  in
+  List.iter
+    (fun jobs ->
+      let both_r, both_l = run ~recover:true ~layout:true jobs in
+      let only_r, _ = run ~recover:true ~layout:false jobs in
+      let _, only_l = run ~recover:false ~layout:true jobs in
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d: layout side = layout_all alone" jobs)
+        only_l both_l;
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d: report side = recover_all alone" jobs)
+        only_r both_r)
+    [ 1; 4 ]
+
 (* The engine hashes each input once and hands that digest to the
    analysis; every report must still carry the Keccak-256 of its own
    bytecode, whichever path built it. *)
@@ -570,6 +651,8 @@ let suite =
       test_layout_cache_independent_of_reports;
     Alcotest.test_case "bounded LRU: jobs parity, single = batch of one"
       `Quick test_bounded_lru_parity;
+    Alcotest.test_case "layout after recover = layout alone, bounded LRU"
+      `Quick test_layout_after_recover;
     Alcotest.test_case "code hash is the digest of the code" `Quick
       test_code_hash_is_digest_of_code;
   ]

@@ -342,6 +342,134 @@ let test_block_of_pc () =
         b.Cfg.instrs)
     (Cfg.blocks cfg)
 
+(* ---- the block builder against its list-based predecessor ---------- *)
+
+(* The CFG builder as it was before it indexed the instruction array:
+   leader set, chunk lists and per-edge hash lookups. Kept as the oracle
+   for the array-based one; returns the blocks in start order. *)
+module Reference = struct
+  let leaders instrs =
+    let set = Hashtbl.create 64 in
+    Hashtbl.replace set 0 ();
+    let rec go = function
+      | [] -> ()
+      | { Disasm.offset; op } :: rest ->
+        if op = Opcode.JUMPDEST then Hashtbl.replace set offset ();
+        if Opcode.is_terminator op then (
+          match rest with
+          | { Disasm.offset = next; _ } :: _ -> Hashtbl.replace set next ()
+          | [] -> ());
+        go rest
+    in
+    go instrs;
+    set
+
+  let static_target block_instrs =
+    let rec last_two = function
+      | [ { Disasm.op = Opcode.PUSH (_, v); _ }; _ ] -> U256.to_int v
+      | _ :: rest -> last_two rest
+      | [] -> None
+    in
+    last_two block_instrs
+
+  let of_instructions instrs =
+    let leader_set = leaders instrs in
+    let jumpdests = Hashtbl.create 64 and offsets = Hashtbl.create 256 in
+    List.iter
+      (fun { Disasm.offset; op } ->
+        Hashtbl.replace offsets offset ();
+        if op = Opcode.JUMPDEST then Hashtbl.replace jumpdests offset ())
+      instrs;
+    let chunks = ref [] and current = ref [] in
+    let flush () =
+      match !current with
+      | [] -> ()
+      | is ->
+        chunks := List.rev is :: !chunks;
+        current := []
+    in
+    List.iter
+      (fun ({ Disasm.offset; op } as i) ->
+        if Hashtbl.mem leader_set offset && !current <> [] then flush ();
+        current := i :: !current;
+        if Opcode.is_terminator op then flush ())
+      instrs;
+    flush ();
+    let next_offset chunk =
+      match List.rev chunk with
+      | { Disasm.offset; op } :: _ -> offset + Opcode.size op
+      | [] -> 0
+    in
+    let valid_dest offset = Hashtbl.mem jumpdests offset in
+    List.map
+      (fun chunk ->
+        let start = (List.hd chunk).Disasm.offset in
+        let last = List.nth chunk (List.length chunk - 1) in
+        let after = next_offset chunk in
+        let has_next = Hashtbl.mem offsets after in
+        let succ =
+          match last.Disasm.op with
+          | Opcode.JUMP -> (
+            match static_target chunk with
+            | Some target when valid_dest target -> [ Cfg.Jump_to target ]
+            | Some _ -> [ Cfg.Exit ]
+            | None -> [ Cfg.Unresolved ])
+          | Opcode.JUMPI -> (
+            let fallthrough =
+              if has_next then [ Cfg.Fallthrough after ] else []
+            in
+            match static_target chunk with
+            | Some target when valid_dest target ->
+              if has_next then
+                [ Cfg.Branch { taken = target; fallthrough = after } ]
+              else [ Cfg.Jump_to target ]
+            | Some _ -> fallthrough
+            | None -> Cfg.Unresolved :: fallthrough)
+          | Opcode.STOP | Opcode.RETURN | Opcode.REVERT | Opcode.INVALID
+          | Opcode.SELFDESTRUCT ->
+            [ Cfg.Exit ]
+          | _ -> if has_next then [ Cfg.Fallthrough after ] else [ Cfg.Exit ]
+        in
+        let terminator =
+          if Opcode.is_terminator last.Disasm.op then Some last.Disasm.op
+          else None
+        in
+        { Cfg.start; instrs = chunk; terminator; succ })
+      (List.rev !chunks)
+end
+
+(* Compiled corpora of every shape, plus byte soup: random bytes hit
+   unknown opcodes, JUMPDESTs in odd places, truncated PUSHes and code
+   that ends without a terminator. *)
+let test_blocks_match_reference () =
+  let rng = Random.State.make [| 17 |] in
+  let soup =
+    List.init 300 (fun _ ->
+        String.init (Random.State.int rng 200) (fun _ ->
+            Char.chr (Random.State.int rng 256)))
+  in
+  let codes =
+    [ ""; "\x5b"; "\x61\x01"; "\x60\x04\x56\x00\x5b"; "\x60\x05\x57" ]
+    @ soup
+    @ Corpora.committed_corpus_codes ()
+    @ Corpora.generated_codes ~seed:41 ~n:4
+    @ Corpora.obfuscated_dispatchers ()
+    @ [ Corpora.wide_dispatcher 400 ]
+  in
+  List.iteri
+    (fun i code ->
+      let instrs = Disasm.disassemble code in
+      let expected = Reference.of_instructions instrs in
+      let cfg = Cfg.of_instructions instrs in
+      if Cfg.blocks cfg <> expected then
+        Alcotest.failf "code %d (%s): blocks differ" i (Hex.encode code);
+      List.iter
+        (fun (b : Cfg.block) ->
+          if Cfg.block_at cfg b.Cfg.start <> Some b then
+            Alcotest.failf "code %d: block_at %d differs" i b.Cfg.start)
+        expected)
+    codes
+
 let suite =
   [
     Alcotest.test_case "opcode roundtrip" `Quick test_opcode_roundtrip;
@@ -359,4 +487,6 @@ let suite =
     Alcotest.test_case "unresolved edges and resolve" `Quick
       test_unresolved_and_resolve;
     Alcotest.test_case "block_of_pc" `Quick test_block_of_pc;
+    Alcotest.test_case "blocks match the list-based builder" `Quick
+      test_blocks_match_reference;
   ]

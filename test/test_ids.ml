@@ -100,6 +100,146 @@ let test_recover_deterministic () =
     (show (Sigrec.Recover.recover code))
     (show (Sigrec.Recover.recover code))
 
+(* ---- dispatcher run that stops at function entries ------------------ *)
+
+(* The extractor as it was before its dispatcher run stopped at function
+   entries: the symbolic run explores every body behind the dispatch
+   decisions too. Kept verbatim as the oracle for the stopping run. *)
+module Reference = struct
+  open Evm
+  module Sexpr = Symex.Sexpr
+
+  let entry (selector, entry_pc) =
+    { Sigrec.Ids.selector; entry_pc; entry_stack_depth = 1 }
+
+  let extract_symbolic program =
+    let budget =
+      { Symex.Exec.default_budget with Symex.Exec.max_paths = 256 }
+    in
+    let trace =
+      Symex.Exec.run_prepared ~budget program ~entry:0 ~init_stack:[] ()
+    in
+    let selector_load_ids =
+      List.filter_map
+        (fun (l : Symex.Trace.load) ->
+          match Sexpr.to_const_int l.Symex.Trace.loc with
+          | Some 0 -> Some l.Symex.Trace.id
+          | _ -> None)
+        trace.Symex.Trace.loads
+    in
+    let is_selector_expr e =
+      List.exists (fun id -> Sexpr.mentions_load e id) selector_load_ids
+      && Sexpr.to_const e = None
+    in
+    let out = ref [] in
+    Hashtbl.iter
+      (fun pc conds ->
+        match Hashtbl.find_opt trace.Symex.Trace.jumpi_targets pc with
+        | None -> ()
+        | Some target ->
+          List.iter
+            (fun cond ->
+              let core, iszeros = Sexpr.iszero_depth cond in
+              match Sexpr.node core with
+              | Sexpr.Bin (Sexpr.Beq, a, b) when iszeros mod 2 = 0 -> (
+                let id_of e =
+                  match Sexpr.to_const e with
+                  | Some v when U256.bits v <= 32 ->
+                    Some (String.sub (U256.to_bytes_be v) 28 4)
+                  | _ -> None
+                in
+                match (id_of a, id_of b, a, b) with
+                | Some id, None, _, e when is_selector_expr e ->
+                  out := (pc, id, target) :: !out
+                | None, Some id, e, _ when is_selector_expr e ->
+                  out := (pc, id, target) :: !out
+                | _ -> ())
+              | _ -> ())
+            conds)
+      trace.Symex.Trace.jumpi_conds;
+    List.sort (fun (a, _, _) (b, _, _) -> compare a b) !out
+    |> List.map (fun (_, selector, target) -> entry (selector, target))
+
+  let extract_static program =
+    let instrs = Array.of_list (Symex.Exec.instructions program) in
+    let n = Array.length instrs in
+    let op i = if i < n then Some instrs.(i).Disasm.op else None in
+    let out = ref [] in
+    let push4 = function
+      | Some (Opcode.PUSH (4, v)) ->
+        Some (String.sub (U256.to_bytes_be v) 28 4)
+      | _ -> None
+    in
+    let push_target = function
+      | Some (Opcode.PUSH (_, v)) -> U256.to_int v
+      | _ -> None
+    in
+    for i = 0 to n - 1 do
+      match op i with
+      | Some (Opcode.DUP 1) -> (
+        match (push4 (op (i + 1)), op (i + 2)) with
+        | Some sel, Some Opcode.EQ -> (
+          match (push_target (op (i + 3)), op (i + 4)) with
+          | Some target, Some Opcode.JUMPI -> out := (sel, target) :: !out
+          | _ -> ())
+        | _ -> ())
+      | Some (Opcode.PUSH (4, _)) -> (
+        match (push4 (op i), op (i + 1), op (i + 2)) with
+        | Some sel, Some (Opcode.DUP 2), Some Opcode.EQ -> (
+          match (push_target (op (i + 3)), op (i + 4)) with
+          | Some target, Some Opcode.JUMPI -> out := (sel, target) :: !out
+          | _ -> ())
+        | _ -> ())
+      | _ -> ()
+    done;
+    List.rev_map entry !out
+
+  let dedup entries =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun (e : Sigrec.Ids.entry) ->
+        if Hashtbl.mem seen e.Sigrec.Ids.selector then false
+        else begin
+          Hashtbl.replace seen e.Sigrec.Ids.selector ();
+          true
+        end)
+      entries
+
+  let extract_prepared program =
+    let static = dedup (extract_static program) in
+    let symbolic = dedup (extract_symbolic program) in
+    if List.length symbolic > List.length static then symbolic else static
+end
+
+let show_entries entries =
+  String.concat ";"
+    (List.map
+       (fun (e : Sigrec.Ids.entry) ->
+         Printf.sprintf "%s@%d/%d"
+           (Evm.Hex.encode e.Sigrec.Ids.selector)
+           e.Sigrec.Ids.entry_pc e.Sigrec.Ids.entry_stack_depth)
+       entries)
+
+let test_stop_matches_reference () =
+  let codes =
+    Corpora.committed_corpus_codes ()
+    @ Corpora.generated_codes ~seed:71 ~n:6
+    @ Corpora.obfuscated_dispatchers ()
+    @ [ Corpora.wide_dispatcher 400 ]
+  in
+  let entries = ref 0 in
+  List.iteri
+    (fun i code ->
+      let program = Symex.Exec.prepare code in
+      let got = Sigrec.Ids.extract_prepared program in
+      entries := !entries + List.length got;
+      Alcotest.(check string)
+        (Printf.sprintf "contract %d: same entries as the full run" i)
+        (show_entries (Reference.extract_prepared program))
+        (show_entries got))
+    codes;
+  Alcotest.(check bool) "the corpus has entries" true (!entries > 400)
+
 let suite =
   [
     Alcotest.test_case "count and order" `Quick test_count_and_order;
@@ -109,4 +249,6 @@ let suite =
     Alcotest.test_case "no functions" `Quick test_no_functions;
     Alcotest.test_case "ruledoc complete" `Quick test_ruledoc_complete;
     Alcotest.test_case "recovery deterministic" `Quick test_recover_deterministic;
+    Alcotest.test_case "dispatcher stop matches full run" `Quick
+      test_stop_matches_reference;
   ]

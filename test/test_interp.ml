@@ -106,7 +106,21 @@ let test_bad_jump () =
       Asm.[ Push_label "ok"; Op Opcode.JUMP; Op Opcode.INVALID; Label "ok";
             Op Opcode.STOP ]
   in
-  Alcotest.(check bool) "good jump" true (res.Interp.outcome = Interp.Stopped)
+  Alcotest.(check bool) "good jump" true (res.Interp.outcome = Interp.Stopped);
+  (* a plain instruction is no JUMPDEST, a 0x5b byte inside a PUSH
+     immediate is data, and an offset past the code is nothing *)
+  let bad hex =
+    (Interp.execute ~code:(Hex.decode hex) ~calldata:"" ()).Interp.outcome
+  in
+  (match bad "6004560000" with
+  | Interp.Bad_jump 4 -> ()
+  | o -> Alcotest.failf "onto a STOP: got %a" Interp.pp_outcome o);
+  (match bad "6006560000605b00" with
+  | Interp.Bad_jump 6 -> ()
+  | o -> Alcotest.failf "into a PUSH immediate: got %a" Interp.pp_outcome o);
+  match bad "6040565b00" with
+  | Interp.Bad_jump 0x40 -> ()
+  | o -> Alcotest.failf "past the code: got %a" Interp.pp_outcome o
 
 let test_invalid_and_revert () =
   Alcotest.(check bool) "invalid" true

@@ -209,41 +209,10 @@ let check_same_run what (shared : Absint.result) (fresh : Absint.result) =
     (sorted_bindings shared.Absint.relevant
     = sorted_bindings fresh.Absint.relevant)
 
-(* under [dune runtest] the cwd is the test directory; under [dune exec]
-   it is the project root *)
-let committed_corpus_codes () =
-  let path =
-    List.find Sys.file_exists
-      [ "../examples/corpus.txt"; "examples/corpus.txt" ]
-  in
-  In_channel.with_open_text path In_channel.input_lines
-  |> List.filter (fun l -> String.starts_with ~prefix:"0x" l)
-  |> List.map Evm.Hex.decode
-
-(* multi-function dispatchers (1 to 40 selectors) under every
-   obfuscation level *)
-let obfuscated_dispatchers () =
-  let fns =
-    List.map (fun (s : Solc.Corpus.sample) -> s.Solc.Corpus.fn)
-      (Solc.Corpus.dataset3 ~seed:61 ~n:40)
-  in
-  List.concat_map
-    (fun level ->
-      List.map
-        (fun k ->
-          Solc.Obfuscate.compile_obfuscated ~level ~seed:(level * 100 + k)
-            {
-              Solc.Compile.fns = List.filteri (fun i _ -> i < k) fns;
-              version = Solc.Version.latest_solidity;
-              storage = [];
-            })
-        [ 1; 7; 40 ])
-    [ 1; 2; 3 ]
-
 let test_relevance_reuse_exact () =
   let codes_of = List.map (fun (s : Solc.Corpus.sample) -> s.Solc.Corpus.code) in
   let codes =
-    committed_corpus_codes ()
+    Corpora.committed_corpus_codes ()
     @ codes_of (Solc.Corpus.dataset1 ~seed:51 ~n:6)
     @ codes_of (Solc.Corpus.dataset2 ~seed:52 ~n:6)
     @ codes_of (Solc.Corpus.dataset3 ~seed:53 ~n:6)
@@ -251,7 +220,7 @@ let test_relevance_reuse_exact () =
     @ List.map
         (fun (s : Solc.Corpus.layout_sample) -> s.Solc.Corpus.lcode)
         (Solc.Corpus.layout_set ~seed:55 ~n:6)
-    @ obfuscated_dispatchers ()
+    @ Corpora.obfuscated_dispatchers ()
   in
   let entries = ref 0 in
   List.iteri
@@ -316,7 +285,7 @@ let reference_storage_order (events : Absint.storage_ev list) =
 
 let test_storage_order_render_free () =
   let codes =
-    committed_corpus_codes ()
+    Corpora.committed_corpus_codes ()
     @ List.map
         (fun (s : Solc.Corpus.layout_sample) -> s.Solc.Corpus.lcode)
         (Solc.Corpus.layout_set ~seed:57 ~n:24)

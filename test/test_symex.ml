@@ -218,6 +218,37 @@ let test_symbolic_jump_kills_path () =
   let t = run_ops Opcode.[ push 4; CALLDATALOAD; JUMP; STOP ] in
   Alcotest.(check int) "one path" 1 t.Trace.paths_explored
 
+let test_jump_needs_jumpdest () =
+  (* a constant JUMP or JUMPI target must be a JUMPDEST instruction: a
+     plain instruction, a 0x5b byte inside a PUSH immediate and an
+     offset past the code all end the path before the load at 0x44 *)
+  let run hex =
+    Symex.Exec.run ~code:(Hex.decode hex) ~entry:0 ~init_stack:[] ()
+  in
+  let reads_44 t =
+    List.exists (fun l -> Sexpr.to_const_int l.Trace.loc = Some 0x44)
+      t.Trace.loads
+  in
+  (* PUSH1 t; JUMP; STOP; STOP; then at 5 the tail *)
+  let jump t tail = Printf.sprintf "60%02x560000%s" t tail in
+  Alcotest.(check bool) "a JUMPDEST target is taken" true
+    (reads_44 (run (jump 5 "5b6044355000")));
+  Alcotest.(check bool) "a plain instruction is not" false
+    (reads_44 (run (jump 5 "60443550005b")));
+  Alcotest.(check bool) "nor a 0x5b inside PUSH1" false
+    (reads_44 (run (jump 6 "605b6044355000")));
+  let past = run (jump 0x40 "5b6044355000") in
+  Alcotest.(check bool) "nor an offset past the code" false (reads_44 past);
+  Alcotest.(check bool) "which ends the path at once" false
+    past.Trace.steps_exhausted;
+  (* PUSH1 0; CALLDATALOAD; PUSH1 t; JUMPI; STOP; STOP; then at 8
+     the tail *)
+  let jumpi t tail = Printf.sprintf "60003560%02x570000%s" t tail in
+  Alcotest.(check bool) "JUMPI takes a JUMPDEST target" true
+    (reads_44 (run (jumpi 8 "5b6044355000")));
+  Alcotest.(check bool) "JUMPI skips a plain instruction" false
+    (reads_44 (run (jumpi 8 "60443550005b")))
+
 let test_stack_underflow_recovers () =
   (* popping an empty stack yields a fresh symbol, not a crash *)
   let t = run_ops Opcode.[ POP; POP; push 1; POP; STOP ] in
@@ -434,6 +465,51 @@ let test_query_memo_consistency () =
   Alcotest.(check bool) "rebuild hits the interner" true (hits1 > hits0);
   Alcotest.(check int) "rebuild allocates nothing" misses0 misses1
 
+let test_stop_at_skips_taken_arm () =
+  (* for (i = 0; i != calldataload(4); i++); then the body at "body"
+     reads word 0x44. A stop branch records its condition and target
+     but never enters the body: not as a fork, and not at the
+     unrolling bound, where the path ends instead of taking the jump *)
+  let code =
+    Asm.assemble
+      Asm.[
+        Op (Opcode.push 0); Op (Opcode.push 0); Op Opcode.MSTORE;
+        Label "head";
+        Op (Opcode.push 4); Op Opcode.CALLDATALOAD;
+        Op (Opcode.push 0); Op Opcode.MLOAD;
+        Op Opcode.EQ;
+        Push_label "body";
+        Op Opcode.JUMPI;
+        Op (Opcode.push 0); Op Opcode.MLOAD;
+        Op (Opcode.push 1); Op Opcode.ADD;
+        Op (Opcode.push 0); Op Opcode.MSTORE;
+        Push_label "head";
+        Op Opcode.JUMP;
+        Label "body";
+        Op (Opcode.push 0x44); Op Opcode.CALLDATALOAD;
+        Op Opcode.POP;
+        Op Opcode.STOP;
+      ]
+  in
+  let run stop_at =
+    Symex.Exec.run_prepared ~stop_at (Symex.Exec.prepare code) ~entry:0
+      ~init_stack:[] ()
+  in
+  let reads_body t =
+    List.exists
+      (fun l -> Sexpr.to_const_int l.Trace.loc = Some 0x44)
+      t.Trace.loads
+  in
+  let full = run (fun _ _ -> false) and stopped = run (fun _ _ -> true) in
+  Alcotest.(check bool) "the full run enters the body" true (reads_body full);
+  Alcotest.(check bool) "the stopping run never does" false
+    (reads_body stopped);
+  Alcotest.(check int) "one path, ended at the bound" 1
+    stopped.Trace.paths_explored;
+  Alcotest.(check bool) "the stop branch is still recorded" true
+    (Hashtbl.length stopped.Trace.jumpi_conds = 1
+    && Hashtbl.length stopped.Trace.jumpi_targets = 1)
+
 let suite =
   [
     Alcotest.test_case "load recorded" `Quick test_load_recorded;
@@ -447,9 +523,13 @@ let suite =
     Alcotest.test_case "symbolic branch forks" `Quick test_symbolic_branch_forks;
     Alcotest.test_case "concrete branch no fork" `Quick test_concrete_branch_no_fork;
     Alcotest.test_case "symbolic loop bounded" `Quick test_symbolic_loop_bounded;
+    Alcotest.test_case "stop_at skips the taken arm" `Quick
+      test_stop_at_skips_taken_arm;
     Alcotest.test_case "jumpi conds recorded" `Quick test_jumpi_conds_recorded;
     Alcotest.test_case "range check event" `Quick test_range_check_event;
     Alcotest.test_case "symbolic jump ends path" `Quick test_symbolic_jump_kills_path;
+    Alcotest.test_case "jump targets must be JUMPDESTs" `Quick
+      test_jump_needs_jumpdest;
     Alcotest.test_case "stack underflow recovers" `Quick test_stack_underflow_recovers;
     Alcotest.test_case "expression queries" `Quick test_expr_queries;
     Alcotest.test_case "interning physical equality" `Quick
