@@ -37,10 +37,15 @@ let obj fields =
     (String.concat ","
        (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (quote k) v) fields))
 
+(* JSON has no infinity or NaN, so those render as null. A finite
+   float renders as the shortest of %.15g / %.17g that reads back as
+   the same float: integers stay integers, and no id or figure is
+   rounded away. *)
 let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec to_string = function
   | Null -> "null"

@@ -18,7 +18,9 @@ val parse : string -> (t, string) result
     [\uXXXX] escapes (including surrogate pairs) decode to UTF-8. *)
 
 val to_string : t -> string
-(** Compact one-line rendering; object fields keep their order. *)
+(** Compact one-line rendering; object fields keep their order. A
+    finite [Num] prints as text that parses back to the same float; a
+    non-finite one prints as [null]. *)
 
 (** {2 Print helpers for hand-rendered JSON} *)
 

@@ -238,7 +238,8 @@ let pp fmt t =
       (v "stream_lines") (v "stream_skipped") (v "stream_dedup_hits");
   if v "classifications" + v "classify_cache_hits" > 0 then
     Format.fprintf fmt
-      "classify: %d verdicts (%d exact / %d partial / %d unknown), %d        probes, %d cache hits@,"
+      "classify: %d verdicts (%d exact / %d partial / %d unknown), %d \
+       probes, %d cache hits@,"
       (v "classifications") (v "classify_exact") (v "classify_partial")
       (v "classify_unknown") (v "classify_probes")
       (v "classify_cache_hits");

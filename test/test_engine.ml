@@ -203,6 +203,8 @@ let test_stats_scalar_sync () =
   Sigrec.Stats.add_layout s ~slots:3 ~unknown:1;
   Sigrec.Stats.add_layout s ~slots:2 ~unknown:0;
   Sigrec.Stats.cache_hit s;
+  Sigrec.Stats.add_classification s ~outcome:`Partial ~probes:4;
+  Sigrec.Stats.add_classify_cache_hits s 2;
   let json =
     match Sigrec.Json.parse (Sigrec.Stats.to_json s) with
     | Ok v -> v
@@ -237,7 +239,11 @@ let test_stats_scalar_sync () =
     go 0
   in
   Alcotest.(check bool) "pp shows the layout counters" true
-    (contains "layouts: 2 recovered, 5 slots (1 unresolved ops)")
+    (contains "layouts: 2 recovered, 5 slots (1 unresolved ops)");
+  Alcotest.(check bool) "pp shows the classify counters" true
+    (contains
+       "classify: 1 verdicts (0 exact / 1 partial / 0 unknown), 4 probes, 2 \
+        cache hits")
 
 let test_engine_matches_recover () =
   (* the engine's signature view is the old Recover.recover result *)

@@ -40,6 +40,25 @@ let test_protocol_goldens () =
     reply.Sigrec.Serve.response;
   Alcotest.(check bool) "shutdown flagged" true reply.Sigrec.Serve.shutdown
 
+let test_numeric_ids_round_trip () =
+  (* ids the float renderer used to mangle: out of range (rendered as
+     the non-JSON "inf"), too wide for %g, and non-integral *)
+  let t = default_serve () in
+  List.iter
+    (fun id ->
+      let want = float_of_string id in
+      match
+        Sigrec.Json.parse (handle t (Printf.sprintf {|{"id":%s,"op":"ping"}|} id))
+      with
+      | Error e -> Alcotest.failf "reply to id %s unparseable: %s" id e
+      | Ok reply -> (
+        match Sigrec.Json.member "id" reply with
+        | Some Sigrec.Json.Null when not (Float.is_finite want) -> ()
+        | Some (Sigrec.Json.Num f) when Float.is_finite want ->
+          Alcotest.(check (float 0.0)) ("id " ^ id ^ " echoed exactly") want f
+        | _ -> Alcotest.failf "id %s echoed as neither itself nor null" id))
+    [ "1e999"; "-1e400"; "12345678901234567890"; "0.1" ]
+
 let test_malformed_does_not_kill () =
   let t = default_serve () in
   (* every hostile line must produce an ok:false line, and the very
@@ -492,6 +511,8 @@ let test_parse_codes_indices () =
 let suite =
   [
     Alcotest.test_case "protocol goldens" `Quick test_protocol_goldens;
+    Alcotest.test_case "numeric ids round-trip" `Quick
+      test_numeric_ids_round_trip;
     Alcotest.test_case "malformed requests do not kill the daemon" `Quick
       test_malformed_does_not_kill;
     Alcotest.test_case "warnings routed into the response stream" `Quick
